@@ -70,6 +70,7 @@ from .pricers import (
     swap_annuity,
 )
 from .riskengine import (
+    BrutePnl,
     EsReport,
     PerTradeSliders,
     PnlDistribution,
@@ -78,6 +79,7 @@ from .riskengine import (
     SyntheticBlock,
     SyntheticSpec,
     apply_liquidity_horizon,
+    brute_pnl,
     correlation,
     es_tail_size,
     expected_shortfall,

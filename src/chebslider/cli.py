@@ -29,6 +29,7 @@ from .errors import (
 from .orthopca import PcaBlock, PcaBlockSpec, save_orthogonal_slider
 from .pricers import load_market, load_portfolio, save_market, save_portfolio, shocked_pricer
 from .riskengine import (
+    brute_pnl,
     generate_synthetic_history,
     read_scenarios,
     rolling_ratio_backtest,
@@ -67,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--market", help="market JSON path")
         p.add_argument("--scenarios", help="scenario CSV path")
         p.add_argument("--blocks", help="PCA block definition JSON path")
-        p.add_argument("--pca-dims", help="comma-separated PCA dims, one per block (e.g. '3' or '10,10')")
+        p.add_argument("--pca-dims",
+                       help="comma-separated PCA dims, one per block (e.g. '3' or '10,10'); "
+                            "required for file-based run and backtest, ignored by sweep")
         p.add_argument("--points", type=int, default=5, help="Chebyshev points per slide dimension")
         p.add_argument("--alpha", type=float, default=0.975, help="ES confidence level")
         p.add_argument("--horizons", default=None,
@@ -110,12 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
 class _Inputs:
     """Resolved run inputs, independent of synthetic vs file source."""
 
-    def __init__(self, pricer, scenarios, base_shock, block_defs, source_doc):
+    def __init__(self, pricer, scenarios, base_shock, block_defs, source_doc,
+                 default_pca_dims=None):
         self.pricer = pricer
         self.scenarios = scenarios
         self.base_shock = base_shock
         self.block_defs = block_defs  # list of (name, factor names, horizons)
         self.source_doc = source_doc
+        self.default_pca_dims = default_pca_dims  # None: --pca-dims is required
 
     def block_spec(self, pca_dims) -> PcaBlockSpec:
         if len(pca_dims) != len(self.block_defs):
@@ -155,9 +160,6 @@ class _Inputs:
                     seen.append(h)
         return seen
 
-    def default_pca_dims(self) -> tuple[int, ...]:
-        raise ConfigurationError("--pca-dims is required for file-based runs")
-
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
@@ -169,7 +171,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _load_inputs(args) -> tuple[_Inputs, tuple[int, ...]]:
+def _load_inputs(args) -> _Inputs:
     if args.synthetic:
         setup = demo_by_name(args.synthetic, args.scenario_count)
         scen = generate_synthetic_history(setup.synthetic, args.seed)
@@ -182,9 +184,9 @@ def _load_inputs(args) -> tuple[_Inputs, tuple[int, ...]]:
             "demo": args.synthetic,
             "seed": args.seed,
         }
-        inputs = _Inputs(pricer, scen, setup.base_shock(), block_defs, source)
-        dims = _parse_dims(args.pca_dims) if args.pca_dims else setup.default_pca_dims
-        return inputs, dims
+        return _Inputs(
+            pricer, scen, setup.base_shock(), block_defs, source, setup.default_pca_dims
+        )
 
     missing = [n for n in ("portfolio", "market", "scenarios") if not getattr(args, n)]
     if missing:
@@ -232,10 +234,15 @@ def _load_inputs(args) -> tuple[_Inputs, tuple[int, ...]]:
     }
     if args.blocks:
         source["blocks"] = str(args.blocks)
-    inputs = _Inputs(pricer, scen, np.zeros(len(pricer_names)), block_defs, source)
-    if not args.pca_dims:
+    return _Inputs(pricer, scen, np.zeros(len(pricer_names)), block_defs, source)
+
+
+def _pca_dims(args, inputs: _Inputs) -> tuple[int, ...]:
+    if args.pca_dims:
+        return _parse_dims(args.pca_dims)
+    if inputs.default_pca_dims is None:
         raise ConfigurationError("--pca-dims is required for file-based runs")
-    return inputs, _parse_dims(args.pca_dims)
+    return inputs.default_pca_dims
 
 
 def _horizon_names(args, inputs: _Inputs) -> list[str]:
@@ -261,7 +268,8 @@ def _report_doc(inputs, result, dims, slide_dims, args) -> dict:
 
 
 def cmd_run(args) -> int:
-    inputs, dims = _load_inputs(args)
+    inputs = _load_inputs(args)
+    dims = _pca_dims(args, inputs)
     if args.per_trade and args.save_slider:
         raise ConfigurationError("--save-slider is not supported with --per-trade")
     slide_dims = parse_slider_tuple(args.slider_tuple, sum(dims))
@@ -309,13 +317,24 @@ _SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args) -> int:
-    inputs, _ = _load_inputs(args)
+    inputs = _load_inputs(args)
     totals = _parse_dims(args.dims)
     patterns = [p.strip() for p in args.tuples.split(";") if p.strip()]
     if not patterns:
         raise ConfigurationError("no slider tuple patterns given")
-    horizon_names = _horizon_names(args, inputs)
     n_blocks = len(inputs.block_defs)
+    # Every cell prices the same scenarios, so brute force runs once; if it
+    # fails, each cell that gets that far records the failure.
+    brute, brute_error = None, ""
+    try:
+        brute = brute_pnl(
+            inputs.pricer,
+            inputs.scenarios,
+            inputs.base_shock,
+            inputs.horizon_map(_horizon_names(args, inputs)),
+        )
+    except ChebSliderError as exc:
+        brute_error = f"{type(exc).__name__}: {exc}"
     rows = []
     for total in totals:
         for pattern in patterns:
@@ -328,15 +347,19 @@ def cmd_sweep(args) -> int:
                 dims = (total // n_blocks,) * n_blocks
                 slide_dims = parse_slider_tuple(pattern, total)
                 config = SliderConfig(slide_dims=slide_dims, points_per_dim=args.points)
+                block_spec = inputs.block_spec(dims)
+                if brute is None:
+                    rows.append({**cell, "error": brute_error})
+                    continue
                 inputs.pricer.reset_counters()
                 result = run_es_analysis(
                     inputs.pricer,
                     inputs.scenarios,
                     inputs.base_shock,
-                    inputs.block_spec(dims),
+                    block_spec,
                     config,
                     alpha=args.alpha,
-                    horizons=inputs.horizon_map(horizon_names),
+                    brute=brute,
                 )
             except ChebSliderError as exc:
                 rows.append({**cell, "error": f"{type(exc).__name__}: {exc}"})
@@ -372,7 +395,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    inputs, dims = _load_inputs(args)
+    inputs = _load_inputs(args)
+    dims = _pca_dims(args, inputs)
     if args.window < 1:
         raise ConfigurationError(f"window must be >= 1, got {args.window}")
     slide_dims = parse_slider_tuple(args.slider_tuple, sum(dims))

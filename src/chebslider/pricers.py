@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,28 +255,35 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def price_swaption_black(
-    trade: SwaptionTrade, curves: dict[str, ZeroCurve], surface: VolSurface
-) -> float:
-    """Black-76 on the forward par swap rate, bilinear vol lookup."""
-    float_pv, annuity = _legs(trade.underlying, curves)
+def _checked_forward(float_pv: float, annuity: float) -> float:
     forward = float_pv / annuity
     if forward <= 0.0:
         raise ModelDomainError(
             f"forward swap rate {forward} is not positive; lognormal model undefined"
         )
-    sigma = surface.vol(trade.expiry, trade.tenor)
-    std = sigma * math.sqrt(trade.expiry)
-    k = trade.strike
+    return forward
+
+
+def _black(forward: float, k: float, std: float, payer: bool) -> float:
+    """Black-76 value per unit annuity; std = sigma * sqrt(expiry)."""
     if std == 0.0:
-        intrinsic = max(forward - k, 0.0) if trade.payer else max(k - forward, 0.0)
-        return trade.underlying.notional * annuity * intrinsic
+        return max(forward - k, 0.0) if payer else max(k - forward, 0.0)
     d1 = (math.log(forward / k) + 0.5 * std * std) / std
     d2 = d1 - std
-    if trade.payer:
-        black = forward * _norm_cdf(d1) - k * _norm_cdf(d2)
-    else:
-        black = k * _norm_cdf(-d2) - forward * _norm_cdf(-d1)
+    if payer:
+        return forward * _norm_cdf(d1) - k * _norm_cdf(d2)
+    return k * _norm_cdf(-d2) - forward * _norm_cdf(-d1)
+
+
+def price_swaption_black(
+    trade: SwaptionTrade, curves: dict[str, ZeroCurve], surface: VolSurface
+) -> float:
+    """Black-76 on the forward par swap rate, bilinear vol lookup."""
+    float_pv, annuity = _legs(trade.underlying, curves)
+    forward = _checked_forward(float_pv, annuity)
+    sigma = surface.vol(trade.expiry, trade.tenor)
+    std = sigma * math.sqrt(trade.expiry)
+    black = _black(forward, trade.strike, std, trade.payer)
     return trade.underlying.notional * annuity * black
 
 
@@ -317,21 +323,151 @@ def market_risk_factors(market: Market) -> list[RiskFactor]:
 
 
 class InstrumentedPricer:
-    """Wraps any shock->value callable, counting calls (thread-safe)."""
+    """Wraps any shock->value callable, counting calls."""
 
     def __init__(self, fn):
         self.fn = fn
         self.call_count = 0
-        self._lock = threading.Lock()
 
     def __call__(self, x) -> float:
-        with self._lock:
-            self.call_count += 1
+        self.call_count += 1
         return self.fn(x)
 
     def reset(self) -> None:
-        with self._lock:
-            self.call_count = 0
+        self.call_count = 0
+
+
+def _log_discount_weights(curve: ZeroCurve, t: np.ndarray) -> np.ndarray:
+    """W with curve.log_discount(t) == W @ curve.zero_rates, one row per time.
+
+    Log discounts interpolate linearly between the knots (0, 0) and
+    (tenor_k, -rate_k * tenor_k); past the last tenor the last segment
+    extends, which is the constant-forward extrapolation.
+    """
+    kt = curve._knots_t
+    n = curve.tenors.size
+    seg = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, n - 1)
+    frac = (t - kt[seg]) / (kt[seg + 1] - kt[seg])
+    on_knots = np.zeros((t.size, n + 1))
+    rows = np.arange(t.size)
+    on_knots[rows, seg] = 1.0 - frac
+    on_knots[rows, seg + 1] += frac
+    return on_knots[:, 1:] * -curve.tenors
+
+
+class _CompiledBook:
+    """A portfolio's value as fixed matrices over the shock vector.
+
+    Zero rates are affine in the shock and log discounts are linear in the
+    zero rates, so the log discount at every payment time, and the log
+    forward growth over every accrual period, is one row of an affine map
+    of the shock. Leg sums are segment matmuls over those rows. Swaption
+    vols are shocked and floored on the grid, then interpolated with fixed
+    bilinear weights; Black-76 runs per swaption.
+    """
+
+    def __init__(self, pricer: ShockedPortfolioPricer):
+        portfolio, market = pricer.portfolio, pricer.market
+        swaps = []
+        for trade in portfolio:
+            if isinstance(trade, SwaptionTrade):
+                if market.surface is None:
+                    raise ConfigurationError("swaption pricing needs a vol surface")
+                swaps.append(trade.underlying)
+            elif isinstance(trade, SwapTrade):
+                swaps.append(trade)
+            else:
+                raise ArgumentError(f"unknown trade type {type(trade).__name__}")
+
+        # Zero rates of every curve the book reads, stacked in one vector.
+        cids = list(dict.fromkeys(c for s in swaps for c in (s.discount_curve, s.forecast_curve)))
+        curves = {cid: _get_curve(market.curves, cid) for cid in cids}
+        sizes = [curves[cid].tenors.size for cid in cids]
+        offset = dict(zip(cids, np.cumsum([0, *sizes]).tolist()))
+        rates0 = np.concatenate([np.empty(0), *(curves[cid].zero_rates for cid in cids)])
+        shock_to_rates = np.zeros((pricer.n_factors, rates0.size))
+        for cid, entries in pricer._rate_slices.items():
+            if cid in offset:
+                for pos, i in entries:
+                    shock_to_rates[pos, offset[cid] + i] += 1.0
+
+        def weights(cid: str, t: np.ndarray) -> np.ndarray:
+            w = np.zeros((t.size, rates0.size))
+            o = offset[cid]
+            w[:, o : o + curves[cid].tenors.size] = _log_discount_weights(curves[cid], t)
+            return w
+
+        times = [s.payment_times for s in swaps]
+        prevs = [np.concatenate(([s.start], t[:-1])) for s, t in zip(swaps, times)]
+        log_discount = [weights(s.discount_curve, t) for s, t in zip(swaps, times)]
+        log_growth = [
+            weights(s.forecast_curve, p) - weights(s.forecast_curve, t)
+            for s, t, p in zip(swaps, times, prevs)
+        ]
+        rows = np.vstack([np.empty((0, rates0.size)), *log_discount, *log_growth])
+        self._n = rows.shape[0] // 2
+        self._offset = rows @ rates0
+        self._slope = shock_to_rates @ rows.T
+
+        tau = np.concatenate([np.empty(0), *times]) - np.concatenate([np.empty(0), *prevs])
+        counts = [t.size for t in times]
+        self._segments = np.zeros((len(swaps), self._n))
+        self._segments[np.repeat(np.arange(len(swaps)), counts), np.arange(self._n)] = 1.0
+        self._tau_segments = self._segments * tau
+
+        # Swaps: value = weight * (float leg - fixed rate * annuity).
+        is_swap = np.array([isinstance(t, SwapTrade) for t in portfolio])
+        self._fixed = np.array([s.fixed_rate for s in swaps]) * is_swap
+        self._swap_weight = np.array(
+            [s.notional if s.payer else -s.notional for s in swaps]
+        ) * is_swap
+
+        self._swaptions = [
+            (k, math.sqrt(t.expiry), t.strike, t.payer, t.underlying.notional)
+            for k, t in enumerate(portfolio)
+            if isinstance(t, SwaptionTrade)
+        ]
+        surface = market.surface
+        self._vol0 = None if surface is None else surface.vols.ravel()
+        self._shock_to_vols = None
+        if pricer._vol_entries:
+            grid = np.zeros((pricer.n_factors, *surface.vols.shape))
+            for pos, (i, j) in pricer._vol_entries:
+                grid[pos, i, j] += 1.0
+            self._shock_to_vols = grid.reshape(pricer.n_factors, -1)
+        if self._swaptions:
+            grid = np.zeros((len(self._swaptions), *surface.vols.shape))
+            for row, t in enumerate(t for t in portfolio if isinstance(t, SwaptionTrade)):
+                i0, i1, wi = _bracket(surface.expiries, t.expiry)
+                j0, j1, wj = _bracket(surface.tenors, t.tenor)
+                grid[row, i0, j0] += (1 - wi) * (1 - wj)
+                grid[row, i0, j1] += (1 - wi) * wj
+                grid[row, i1, j0] += wi * (1 - wj)
+                grid[row, i1, j1] += wi * wj
+            self._vol_weights = grid.reshape(len(self._swaptions), -1)
+
+    def value(self, shock: np.ndarray) -> tuple[float, int]:
+        """Portfolio value at the shock, plus the number of floored vols."""
+        n = self._n
+        e = np.exp(self._offset + shock @ self._slope)
+        df = e[:n]
+        annuity = self._tau_segments @ df
+        floating = self._segments @ ((e[n:] - 1.0) * df)
+        total = float(self._swap_weight @ (floating - self._fixed * annuity))
+        floored = 0
+        vols = self._vol0
+        if self._shock_to_vols is not None:
+            vols = self._vol0 + shock @ self._shock_to_vols
+            floored = int(np.count_nonzero(vols < VOL_FLOOR))
+            np.maximum(vols, VOL_FLOOR, out=vols)
+        if self._swaptions:
+            sigmas = (self._vol_weights @ vols).tolist()
+            floating = floating.tolist()
+            annuity = annuity.tolist()
+            for (k, sqrt_t, strike, payer, notional), sigma in zip(self._swaptions, sigmas):
+                forward = _checked_forward(floating[k], annuity[k])
+                total += notional * annuity[k] * _black(forward, strike, sigma * sqrt_t, payer)
+        return total, floored
 
 
 class ShockedPortfolioPricer:
@@ -340,6 +476,11 @@ class ShockedPortfolioPricer:
     Rate shocks add to zero rates, vol shocks add to surface vols (floored at
     VOL_FLOOR; floor events are counted, not raised). Each call increments
     call_count by one and trade_call_count by the number of trades.
+
+    The first call compiles the portfolio and market into matrices
+    (_CompiledBook), so later calls value the whole book with a few numpy
+    operations. shocked_market plus price_trade is the reference path the
+    compiled book is tested against.
     """
 
     def __init__(self, portfolio, market: Market, factors: list[RiskFactor] | None = None):
@@ -349,7 +490,7 @@ class ShockedPortfolioPricer:
         self.call_count = 0
         self.trade_call_count = 0
         self.floored_vol_count = 0
-        self._lock = threading.Lock()
+        self._book: _CompiledBook | None = None
         self._rate_slices: dict[str, list[tuple[int, int]]] = {}
         self._vol_entries: list[tuple[int, tuple[int, int]]] = []
         for pos, f in enumerate(self.factors):
@@ -372,13 +513,17 @@ class ShockedPortfolioPricer:
     def factor_names(self) -> list[str]:
         return [f.name for f in self.factors]
 
-    def shocked_market(self, shock) -> tuple[Market, int]:
-        """The market after applying the shock, plus the number of floored vols."""
+    def _checked_shock(self, shock) -> np.ndarray:
         shock = np.asarray(shock, dtype=float)
         if shock.shape != (self.n_factors,):
             raise ArgumentError(
                 f"shock of shape {shock.shape}, expected ({self.n_factors},)"
             )
+        return shock
+
+    def shocked_market(self, shock) -> tuple[Market, int]:
+        """The market after applying the shock, plus the number of floored vols."""
+        shock = self._checked_shock(shock)
         curves: dict[str, ZeroCurve] = {}
         for cid, base in self.market.curves.items():
             entries = self._rate_slices.get(cid)
@@ -401,21 +546,21 @@ class ShockedPortfolioPricer:
         return Market(curves=curves, surface=surface), floored
 
     def __call__(self, shock) -> float:
-        market, floored = self.shocked_market(shock)
-        total = 0.0
-        for trade in self.portfolio:
-            total += price_trade(trade, market)
-        with self._lock:
-            self.call_count += 1
-            self.trade_call_count += len(self.portfolio)
-            self.floored_vol_count += floored
+        shock = self._checked_shock(shock)
+        if not np.isfinite(shock).all():
+            raise ParameterError("shock must be finite")
+        if self._book is None:
+            self._book = _CompiledBook(self)
+        total, floored = self._book.value(shock)
+        self.call_count += 1
+        self.trade_call_count += len(self.portfolio)
+        self.floored_vol_count += floored
         return total
 
     def reset_counters(self) -> None:
-        with self._lock:
-            self.call_count = 0
-            self.trade_call_count = 0
-            self.floored_vol_count = 0
+        self.call_count = 0
+        self.trade_call_count = 0
+        self.floored_vol_count = 0
 
 
 def shocked_pricer(portfolio, market: Market) -> ShockedPortfolioPricer:

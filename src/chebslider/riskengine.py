@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +34,13 @@ __all__ = [
     "RatioBacktestSeries",
     "SyntheticBlock",
     "SyntheticSpec",
+    "BrutePnl",
     "RunResult",
     "PerTradeSliders",
     "generate_synthetic_history",
     "apply_liquidity_horizon",
     "pnl_distribution",
+    "brute_pnl",
     "expected_shortfall",
     "es_tail_size",
     "correlation",
@@ -316,20 +316,7 @@ def apply_liquidity_horizon(
 # P&L and statistics
 # ---------------------------------------------------------------------------
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CHEBSLIDER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _evaluate_rows(evaluator, shocks: np.ndarray) -> np.ndarray:
-    threads = _thread_count()
-    if threads > 1 and shocks.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.fromiter(
-                pool.map(evaluator, shocks), dtype=float, count=shocks.shape[0]
-            )
     out = np.empty(shocks.shape[0])
     for i, row in enumerate(shocks):
         try:
@@ -345,7 +332,6 @@ def pnl_distribution(
     base_shock,
     source: str,
     base_value: float | None = None,
-    batch_evaluator=None,
 ) -> PnlDistribution:
     """P&L_i = value(shock_i) - value(base_shock).
 
@@ -359,10 +345,7 @@ def pnl_distribution(
         )
     if base_value is None:
         base_value = float(evaluator(base_shock))
-    if batch_evaluator is not None:
-        values = np.asarray(batch_evaluator(scen.shocks), dtype=float)
-    else:
-        values = _evaluate_rows(evaluator, scen.shocks)
+    values = _evaluate_rows(evaluator, scen.shocks)
     return PnlDistribution(values=values - base_value, source=source)
 
 
@@ -512,6 +495,53 @@ class PerTradeSliders:
         return total
 
 
+@dataclass(frozen=True)
+class BrutePnl:
+    """Brute-force P&L of every horizon, from one base valuation."""
+
+    base_value: float
+    scenarios: dict[str, ScenarioSet]  # horizon -> the shocks priced
+    pnl: dict[str, PnlDistribution]  # horizon -> brute-force P&L
+
+
+def brute_pnl(
+    pricer,
+    scenarios: ScenarioSet,
+    base_shock,
+    horizons: dict[str, tuple[str, ...] | None] | None = None,
+) -> BrutePnl:
+    """Price the base shock once and every scenario once per horizon.
+
+    `horizons` maps a horizon tag to the factor names shocked at that
+    horizon (None means all; the scenarios' own horizon is implied). The
+    result depends on nothing but these inputs, so one pass serves every
+    slider configuration built on the same history.
+    """
+    base_shock = np.asarray(base_shock, dtype=float)
+    horizons = dict(horizons or {})
+    horizons.setdefault(scenarios.horizon, None)
+    base_value = float(pricer(base_shock))
+    scen: dict[str, ScenarioSet] = {}
+    pnl: dict[str, PnlDistribution] = {}
+    for horizon, shocked in horizons.items():
+        if shocked is not None:
+            scen_h = apply_liquidity_horizon(scenarios, shocked, base_shock, horizon)
+        elif horizon == scenarios.horizon:
+            scen_h = scenarios
+        else:
+            scen_h = ScenarioSet(
+                labels=scenarios.labels,
+                shocks=scenarios.shocks,
+                factor_names=scenarios.factor_names,
+                horizon=horizon,
+            )
+        scen[horizon] = scen_h
+        pnl[horizon] = pnl_distribution(
+            pricer, scen_h, base_shock, "brute", base_value=base_value
+        )
+    return BrutePnl(base_value=base_value, scenarios=scen, pnl=pnl)
+
+
 @dataclass
 class RunResult:
     slider: OrthogonalSlider | PerTradeSliders
@@ -539,6 +569,7 @@ def run_es_analysis(
     diagnostic: bool = False,
     domain_pad: float = 0.01,
     per_trade: bool = False,
+    brute: BrutePnl | None = None,
 ) -> RunResult:
     """Full brute-vs-slider comparison on the 10-day history plus reuse horizons.
 
@@ -546,19 +577,21 @@ def run_es_analysis(
     horizon (None means all; the 10-day entry is implied). The slider is
     built once, on the 10-day shocks, and reused everywhere else.
 
+    Pass `brute`, the brute_pnl of the same pricer, scenarios, base shock
+    and horizons, to reuse one brute-force pass across several slider
+    configurations; `horizons` is then taken from it.
+
     With per_trade=True one slider is built per trade (single-trade pricers,
     so each build costs 1 + sum of slide mesh sizes trade valuations) and
     evaluations sum across trades; build_calls stays in portfolio-valuation
     equivalents, which is unchanged.
     """
     base_shock = np.asarray(base_shock, dtype=float)
-    horizons = dict(horizons or {})
-    horizons.setdefault(scenarios.horizon, None)
-
-    base_value = float(pricer(base_shock))
-    brute_10d = pnl_distribution(
-        pricer, scenarios, base_shock, "brute", base_value=base_value
-    )
+    if brute is None:
+        brute = brute_pnl(pricer, scenarios, base_shock, horizons)
+    elif horizons is not None:
+        raise ArgumentError("give horizons to brute_pnl, not next to a precomputed brute pass")
+    base_value = brute.base_value
 
     calls_before_build = pricer.call_count
     if per_trade:
@@ -593,25 +626,9 @@ def run_es_analysis(
     pnl: dict[str, dict[str, PnlDistribution]] = {}
     labels: dict[str, tuple[str, ...]] = {}
 
-    for horizon, shocked in horizons.items():
-        if shocked is None:
-            scen_h = scenarios if horizon == scenarios.horizon else ScenarioSet(
-                labels=scenarios.labels,
-                shocks=scenarios.shocks,
-                factor_names=scenarios.factor_names,
-                horizon=horizon,
-            )
-        else:
-            scen_h = apply_liquidity_horizon(scenarios, shocked, base_shock, horizon)
-
-        if horizon == scenarios.horizon:
-            brute = brute_10d
-            horizon_build_calls = build_calls
-        else:
-            brute = pnl_distribution(
-                pricer, scen_h, base_shock, "brute", base_value=base_value
-            )
-            horizon_build_calls = 0
+    for horizon, scen_h in brute.scenarios.items():
+        brute_h = brute.pnl[horizon]
+        horizon_build_calls = build_calls if horizon == scenarios.horizon else 0
 
         clamp = ClampCounter()
         calls_before_eval = pricer.call_count
@@ -622,7 +639,7 @@ def run_es_analysis(
         incremental = pricer.call_count - calls_before_eval  # slider reuse: 0
         slider_pnl = PnlDistribution(values=slider_values - base_value, source="slider")
 
-        series = {"brute": brute, "slider": slider_pnl}
+        series = {"brute": brute_h, "slider": slider_pnl}
         if diagnostic:
             proj = oslider.sliders[0] if isinstance(oslider, PerTradeSliders) else oslider
             repriced_shocks = reconstruct_through(proj, scen_h.shocks)
@@ -631,16 +648,16 @@ def run_es_analysis(
                 values=repriced - base_value, source="pca_repriced"
             )
 
-        es_b = expected_shortfall(brute, alpha)
+        es_b = expected_shortfall(brute_h, alpha)
         es_s = expected_shortfall(slider_pnl, alpha)
-        d, p = ks_two_sample(brute, slider_pnl)
+        d, p = ks_two_sample(brute_h, slider_pnl)
         reports[horizon] = EsReport(
             horizon=horizon,
             es_brute=es_b,
             es_slider=es_s,
             relative_error=_relative_error(es_b, es_s),
             savings=savings(horizon_build_calls, scen_h.count),
-            correlation=correlation(brute, slider_pnl),
+            correlation=correlation(brute_h, slider_pnl),
             ks_statistic=d,
             ks_p_value=p,
             pca_dims=pca_dims,

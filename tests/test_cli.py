@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from chebslider.cli import main
+from chebslider.pricers import ShockedPortfolioPricer
 
 
 def run_cli(*args):
@@ -215,6 +216,81 @@ class TestSweep:
         report = json.loads((run_out / "report.json").read_text())["horizons"]["10d"]
         assert float(row["es_brute"]) == report["es_brute"]
         assert float(row["es_slider"]) == report["es_slider"]
+
+
+def _file_sweep(fixtures, out, *extra):
+    return run_cli(
+        "sweep",
+        "--portfolio", str(fixtures / "portfolio.json"),
+        "--market", str(fixtures / "market.json"),
+        "--scenarios", str(fixtures / "scenarios.csv"),
+        "--blocks", str(fixtures / "blocks.json"),
+        "--dims", "3", "--tuples", "1x*;2,1x*", *extra, "--out", str(out),
+    )
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestSweepInputsAndAccounting:
+    def test_file_sweep_without_pca_dims(self, tmp_path):
+        fixtures = tmp_path / "fix"
+        run_cli("demo", "--which", "swaps", "--scenario-count", "60", "--out", str(fixtures))
+        assert _file_sweep(fixtures, tmp_path / "a.csv") == 0
+        # a given --pca-dims is still accepted, and ignored
+        assert _file_sweep(fixtures, tmp_path / "b.csv", "--pca-dims", "7") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert all(row["error"] == "" for row in _rows(tmp_path / "a.csv"))
+
+    def test_brute_force_priced_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        call = ShockedPortfolioPricer.__call__
+
+        def counted(self, shock):
+            calls["n"] += 1
+            return call(self, shock)
+
+        monkeypatch.setattr(ShockedPortfolioPricer, "__call__", counted)
+        s = 80
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--synthetic", "swaps", "--seed", "4", "--scenario-count", str(s),
+            "--dims", "3,5", "--tuples", "1x*;2,1x*;3,1x*", "--out", str(out),
+        )
+        assert code == 0
+        rows = _rows(out)
+        assert len(rows) == 6 and all(row["error"] == "" for row in rows)
+        assert calls["n"] == 1 + s + sum(int(row["build_calls"]) for row in rows)
+        assert len({row["es_brute"] for row in rows}) == 1
+
+    def test_failed_brute_force_fails_every_cell(self, tmp_path):
+        fixtures = tmp_path / "fix"
+        run_cli("demo", "--which", "swaptions", "--scenario-count", "40", "--out", str(fixtures))
+        scenarios = fixtures / "scenarios.csv"
+        lines = scenarios.read_text().splitlines()
+        header = lines[0].split(",")
+        # one scenario drops every zero rate by 5%: forward swap rates turn negative
+        crash = ["crash"] + ["-0.05" if n.startswith("rate:") else "0.0" for n in header[1:]]
+        scenarios.write_text("\n".join([*lines[:4], ",".join(crash), *lines[4:]]) + "\n")
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep",
+            "--portfolio", str(fixtures / "portfolio.json"),
+            "--market", str(fixtures / "market.json"),
+            "--scenarios", str(scenarios),
+            "--blocks", str(fixtures / "blocks.json"),
+            "--dims", "4,6,7", "--tuples", "1x*;2,1x*", "--out", str(out),
+        )
+        assert code == 0
+        rows = _rows(out)
+        assert len(rows) == 6
+        for row in rows:
+            if row["pca_total_dim"] == "7":  # cell validation still comes first
+                assert row["error"].startswith("ParameterError: total dim 7")
+            else:
+                assert row["error"].startswith("ModelDomainError: scenario 3: forward swap rate")
 
 
 class TestBacktest:

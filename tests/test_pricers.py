@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chebslider import (
     ArgumentError,
@@ -14,6 +17,7 @@ from chebslider import (
     MissingCurveError,
     ModelDomainError,
     ParameterError,
+    ScenarioSet,
     SwapTrade,
     SwaptionTrade,
     VolSurface,
@@ -23,6 +27,7 @@ from chebslider import (
     eval_barycentric_many,
     market_risk_factors,
     par_swap_rate,
+    pnl_distribution,
     price_swap,
     price_swaption_black,
     price_trade,
@@ -255,7 +260,8 @@ class TestShockedPricer:
         demo = swaps_demo()
         pricer = shocked_pricer(list(demo.portfolio), demo.market)
         base = sum(price_trade(t, demo.market) for t in demo.portfolio)
-        assert pricer(np.zeros(pricer.n_factors)) == base
+        # The compiled book sums in a different order than the trade loop.
+        assert pricer(np.zeros(pricer.n_factors)) == pytest.approx(base, rel=1e-12, abs=0)
 
     def test_determinism_bit_identical(self):
         demo = swaptions_demo()
@@ -330,6 +336,125 @@ class TestShockedPricer:
             p = build_interpolant(g, chebyshev_points(n, dom))
             errs[n] = float(np.max(np.abs(eval_barycentric_many(p, xs) - exact)))
         assert errs[16] <= 0.1 * errs[8]
+
+
+_SWAPS = swaps_demo()
+_SWAPTIONS = swaptions_demo()
+
+
+def _reference_value(pricer, shock):
+    """Trade-by-trade value on the shocked market objects, and its gross size."""
+    market, floored = pricer.shocked_market(shock)
+    values = [price_trade(t, market) for t in pricer.portfolio]
+    return sum(values), sum(abs(v) for v in values), floored
+
+
+class TestCompiledBook:
+    """The compiled __call__ against shocked_market + price_trade.
+
+    The tolerance is 1e-12 of the gross book value (sum of |trade PV|): the
+    two paths add the same terms in a different order, and the net value of
+    a hedged book can cancel to far below its terms.
+    """
+
+    def _check(self, demo, shock):
+        pricer = shocked_pricer(list(demo.portfolio), demo.market)
+        try:
+            want, gross, floored = _reference_value(pricer, shock)
+        except ModelDomainError:
+            with pytest.raises(ModelDomainError):
+                pricer(shock)
+            assert pricer.call_count == 0
+            return
+        got = pricer(shock)
+        assert abs(got - want) <= 1e-12 * gross
+        assert pricer.floored_vol_count == floored
+        assert pricer.call_count == 1
+        assert pricer.trade_call_count == len(demo.portfolio)
+
+    @given(arrays(float, 20, elements=st.floats(-0.04, 0.04)))
+    @settings(max_examples=60, deadline=None)
+    def test_swaps_book(self, shock):
+        self._check(_SWAPS, shock)
+
+    @given(
+        rates=arrays(float, 20, elements=st.floats(-0.006, 0.006)),
+        vols=arrays(float, 20, elements=st.floats(-0.6, 0.3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_swaptions_book_with_floored_vols(self, rates, vols):
+        self._check(_SWAPTIONS, np.concatenate([rates, vols]))
+
+    def test_times_past_the_last_tenor_and_off_the_vol_grid(self):
+        curves = {
+            "discount": ZeroCurve(tenors=np.array([1.0, 3.0, 5.0]),
+                                  zero_rates=np.array([0.02, 0.025, 0.03])),
+            "forecast": ZeroCurve(tenors=np.array([2.0, 4.0]),
+                                  zero_rates=np.array([0.03, 0.032])),
+        }
+        surface = VolSurface(expiries=np.array([1.0, 2.0]), tenors=np.array([1.0, 5.0]),
+                             vols=np.array([[0.3, 0.25], [0.28, 0.22]]))
+        book = [
+            SwapTrade(notional=1e6, fixed_rate=0.03, maturity=9.0, frequency=0.25, payer=True),
+            SwapTrade(notional=2e6, fixed_rate=0.028, maturity=7.5, frequency=0.5,
+                      payer=False, start=4.5),
+            SwaptionTrade(
+                expiry=3.5,
+                underlying=SwapTrade(notional=1e6, fixed_rate=0.03, maturity=10.5,
+                                     frequency=1.0, payer=True, start=3.5),
+                strike=0.03, payer=True,
+            ),
+            SwaptionTrade(
+                expiry=1.5,
+                underlying=SwapTrade(notional=-1e6, fixed_rate=0.029, maturity=4.5,
+                                     frequency=0.5, payer=False, start=1.5),
+                strike=0.029, payer=False,
+            ),
+        ]
+        pricer = shocked_pricer(book, Market(curves=curves, surface=surface))
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            shock = rng.uniform(-0.004, 0.004, pricer.n_factors)
+            want, gross, _ = _reference_value(pricer, shock)
+            assert abs(pricer(shock) - want) <= 1e-12 * gross
+
+    def test_floors_counted_per_grid_point(self):
+        shock = np.zeros(40)
+        shock[20:24] = -0.5  # the four 0.5y-expiry vols go through the floor
+        pricer = shocked_pricer(list(_SWAPTIONS.portfolio), _SWAPTIONS.market)
+        want, gross, floored = _reference_value(pricer, shock)
+        assert floored == 4
+        assert abs(pricer(shock) - want) <= 1e-12 * gross
+        assert pricer.floored_vol_count == 4
+
+    def test_negative_forward_names_the_scenario(self):
+        pricer = shocked_pricer(list(_SWAPTIONS.portfolio), _SWAPTIONS.market)
+        down = np.zeros(40)
+        down[:20] = -0.05  # every zero rate below zero: forward swap rates turn negative
+        scen = ScenarioSet(
+            labels=("base", "down"),
+            shocks=np.vstack([np.zeros(40), down]),
+            factor_names=tuple(pricer.factor_names),
+        )
+        with pytest.raises(ModelDomainError, match=r"^scenario 1: forward swap rate"):
+            pnl_distribution(pricer, scen, np.zeros(40), "brute")
+        # base value and scenario 0 were priced; the failed call is not counted
+        assert pricer.call_count == 2
+
+    def test_non_finite_shock_rejected(self):
+        pricer = shocked_pricer(list(_SWAPS.portfolio), _SWAPS.market)
+        shock = np.zeros(20)
+        shock[3] = np.nan
+        with pytest.raises(ParameterError):
+            pricer(shock)
+        assert pricer.call_count == 0
+
+    def test_empty_book_is_worth_zero(self):
+        pricer = shocked_pricer([], _SWAPTIONS.market)
+        shock = np.zeros(40)
+        shock[20] = -1.0
+        assert pricer(shock) == 0.0
+        assert pricer.floored_vol_count == 1
 
 
 class TestInstrumentedPricer:

@@ -20,6 +20,7 @@ from chebslider import (
     SyntheticSpec,
     UnknownFactorError,
     apply_liquidity_horizon,
+    brute_pnl,
     correlation,
     es_tail_size,
     expected_shortfall,
@@ -423,6 +424,28 @@ class TestRunAnalysis:
         )
         # base + brute + build + pca_reprice
         assert pricer.call_count == 1 + 150 + 16 + 150
+
+    def test_shared_brute_pass_matches_separate_runs(self):
+        demo, scen, pricer = self._setup(count=200)
+        shared = brute_pnl(pricer, scen, demo.base_shock(), demo.horizon_map())
+        assert pricer.call_count == 1 + scen.count
+        for dims, slides in (((3,), (1, 1, 1)), ((2,), (2,))):
+            cfg = SliderConfig(slides, 5)
+            reused = run_es_analysis(
+                pricer, scen, demo.base_shock(), demo.block_spec(dims), cfg, brute=shared,
+            )
+            _, _, fresh_pricer = self._setup(count=200)
+            fresh = run_es_analysis(
+                fresh_pricer, scen, demo.base_shock(), demo.block_spec(dims), cfg,
+                horizons=demo.horizon_map(),
+            )
+            assert reused.reports == fresh.reports
+        assert pricer.call_count == 1 + scen.count + 16 + 26
+        with pytest.raises(ArgumentError):
+            run_es_analysis(
+                pricer, scen, demo.base_shock(), demo.block_spec((3,)),
+                SliderConfig((1, 1, 1), 5), horizons=demo.horizon_map(), brute=shared,
+            )
 
 
 class TestScenarioCsv:
