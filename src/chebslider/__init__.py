@@ -72,7 +72,6 @@ from .pricers import (
 from .riskengine import (
     BrutePnl,
     EsReport,
-    PerTradeSliders,
     PnlDistribution,
     RatioBacktestSeries,
     ScenarioSet,

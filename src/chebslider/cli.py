@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,13 @@ from .errors import (
     ParameterError,
     UnknownFactorError,
 )
-from .orthopca import PcaBlock, PcaBlockSpec, save_orthogonal_slider
+from .orthopca import PcaBlockSpec, save_orthogonal_slider
 from .pricers import load_market, load_portfolio, save_market, save_portfolio, shocked_pricer
 from .riskengine import (
+    BlockLayout,
+    ScenarioSet,
     brute_pnl,
+    es_tail_size,
     generate_synthetic_history,
     read_scenarios,
     rolling_ratio_backtest,
@@ -70,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--blocks", help="PCA block definition JSON path")
         p.add_argument("--pca-dims",
                        help="comma-separated PCA dims, one per block (e.g. '3' or '10,10'); "
-                            "required for file-based run and backtest, ignored by sweep")
+                            "default: each block's 'k' in the blocks JSON (the demos give "
+                            "it); ignored by sweep")
         p.add_argument("--points", type=int, default=5, help="Chebyshev points per slide dimension")
         p.add_argument("--alpha", type=float, default=0.975, help="ES confidence level")
         p.add_argument("--horizons", default=None,
@@ -82,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="slide dimensions, e.g. '1,1,1', '1x20', '3,1x17' or '3,1x*'")
     run_p.add_argument("--diagnostic", action="store_true",
                        help="also compute the PCA-repriced series (full brute-force cost)")
-    run_p.add_argument("--per-trade", action="store_true",
-                       help="build one slider per trade instead of one for the portfolio")
     run_p.add_argument("--save-slider", default=None,
                        help="write the built orthogonal slider to this JSON path")
     run_p.add_argument("--out", required=True, help="output directory")
@@ -110,55 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@dataclass(frozen=True)
 class _Inputs:
-    """Resolved run inputs, independent of synthetic vs file source."""
+    """Loaded run inputs, the same whether they come from a demo or from files."""
 
-    def __init__(self, pricer, scenarios, base_shock, block_defs, source_doc,
-                 default_pca_dims=None):
-        self.pricer = pricer
-        self.scenarios = scenarios
-        self.base_shock = base_shock
-        self.block_defs = block_defs  # list of (name, factor names, horizons)
-        self.source_doc = source_doc
-        self.default_pca_dims = default_pca_dims  # None: --pca-dims is required
-
-    def block_spec(self, pca_dims) -> PcaBlockSpec:
-        if len(pca_dims) != len(self.block_defs):
-            raise ConfigurationError(
-                f"{len(self.block_defs)} blocks defined, got {len(pca_dims)} PCA dims"
-            )
-        index = {n: i for i, n in enumerate(self.scenarios.factor_names)}
-        blocks = []
-        for (name, factors, _), k in zip(self.block_defs, pca_dims):
-            blocks.append(
-                PcaBlock(name=name, coord_indices=tuple(index[f] for f in factors), k=int(k))
-            )
-        return PcaBlockSpec(tuple(blocks))
-
-    def horizon_map(self, names) -> dict[str, tuple[str, ...] | None]:
-        available = {"10d"}
-        for _, _, horizons in self.block_defs:
-            available.update(horizons)
-        out: dict[str, tuple[str, ...] | None] = {}
-        for h in names:
-            if h not in available:
-                raise ConfigurationError(f"horizon {h!r} not defined (have {sorted(available)})")
-            if h == "10d":
-                out[h] = None
-            else:
-                out[h] = tuple(
-                    f for name, factors, horizons in self.block_defs if h in horizons
-                    for f in factors
-                )
-        return out
-
-    def default_horizons(self) -> list[str]:
-        seen = ["10d"]
-        for _, _, horizons in self.block_defs:
-            for h in horizons:
-                if h not in seen:
-                    seen.append(h)
-        return seen
+    pricer: object
+    scenarios: ScenarioSet
+    base_shock: np.ndarray
+    layout: BlockLayout
+    source_doc: dict
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -171,95 +134,85 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def _load_inputs(args) -> _Inputs:
+    """Load a demo or the input files, and check the options every command shares.
+
+    Nothing here calls the pricer, so a bad input or option fails before
+    any brute-force work.
+    """
     if args.synthetic:
         setup = demo_by_name(args.synthetic, args.scenario_count)
+        portfolio, market = list(setup.portfolio), setup.market
         scen = generate_synthetic_history(setup.synthetic, args.seed)
-        pricer = shocked_pricer(list(setup.portfolio), setup.market)
-        if tuple(pricer.factor_names) != scen.factor_names:
-            raise ConfigurationError("demo factor lists out of sync")
-        block_defs = [(b.name, b.factor_names, b.horizons) for b in setup.synthetic.blocks]
-        source = {
-            "kind": "synthetic",
-            "demo": args.synthetic,
-            "seed": args.seed,
-        }
-        return _Inputs(
-            pricer, scen, setup.base_shock(), block_defs, source, setup.default_pca_dims
-        )
-
-    missing = [n for n in ("portfolio", "market", "scenarios") if not getattr(args, n)]
-    if missing:
-        raise ConfigurationError(
-            f"file-based runs need --portfolio/--market/--scenarios (missing: {missing}); "
-            f"or use --synthetic"
-        )
-    market = load_market(args.market)
-    portfolio = load_portfolio(args.portfolio)
-    scen = read_scenarios(args.scenarios)
+        blocks_doc, where = setup.blocks_doc(), f"{setup.name} demo"
+        source = {"kind": "synthetic", "demo": args.synthetic, "seed": args.seed}
+    else:
+        files = {n: getattr(args, n) for n in ("portfolio", "market", "scenarios")}
+        missing = [n for n, path in files.items() if not path]
+        if missing:
+            raise ConfigurationError(
+                f"file-based runs need --portfolio/--market/--scenarios (missing: {missing}); "
+                f"or use --synthetic"
+            )
+        market = load_market(args.market)
+        portfolio = load_portfolio(args.portfolio)
+        scen = read_scenarios(args.scenarios)
+        source = {"kind": "files", **{n: str(path) for n, path in files.items()}}
+        blocks_doc, where = None, "default blocks"
+        if args.blocks:
+            blocks_doc, where = _read_json(args.blocks), args.blocks
+            source["blocks"] = str(args.blocks)
     pricer = shocked_pricer(portfolio, market)
-    pricer_names = tuple(pricer.factor_names)
-    if set(pricer_names) != set(scen.factor_names):
-        raise ConfigurationError(
-            "scenario factor names do not match the market's risk factors"
-        )
-    if pricer_names != scen.factor_names:
+    names = tuple(pricer.factor_names)
+    if set(names) != set(scen.factor_names):
+        raise ConfigurationError("scenario factor names do not match the market's risk factors")
+    if names != scen.factor_names:
         # Reorder scenario columns into the pricer's factor order.
-        order = [scen.factor_names.index(n) for n in pricer_names]
-        scen = type(scen)(
+        order = [scen.factor_names.index(n) for n in names]
+        scen = ScenarioSet(
             labels=scen.labels,
             shocks=scen.shocks[:, order],
-            factor_names=pricer_names,
+            factor_names=names,
             horizon=scen.horizon,
         )
-    if args.blocks:
-        with open(args.blocks, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        block_defs = []
-        for b in doc["blocks"]:
-            if "factors" in b:
-                factors = tuple(b["factors"])
-            elif "prefix" in b:
-                factors = tuple(n for n in pricer_names if n.startswith(b["prefix"]))
-            else:
-                raise ConfigurationError(f"block {b.get('name')!r} needs 'factors' or 'prefix'")
-            block_defs.append((b["name"], factors, tuple(b.get("horizons", ["10d"]))))
-    else:
-        block_defs = [("all", pricer_names, ("10d",))]
-    source = {
-        "kind": "files",
-        "portfolio": str(args.portfolio),
-        "market": str(args.market),
-        "scenarios": str(args.scenarios),
-    }
-    if args.blocks:
-        source["blocks"] = str(args.blocks)
-    return _Inputs(pricer, scen, np.zeros(len(pricer_names)), block_defs, source)
+    if blocks_doc is None:  # one block of every factor, no default k
+        blocks_doc = {"blocks": [{"name": "all", "factors": list(names)}]}
+    layout = BlockLayout.from_doc(blocks_doc, names, where)
+    es_tail_size(scen.count, args.alpha)  # checks alpha
+    return _Inputs(pricer, scen, np.zeros(len(names)), layout, source)
 
 
-def _pca_dims(args, inputs: _Inputs) -> tuple[int, ...]:
-    if args.pca_dims:
-        return _parse_dims(args.pca_dims)
-    if inputs.default_pca_dims is None:
-        raise ConfigurationError("--pca-dims is required for file-based runs")
-    return inputs.default_pca_dims
+def _pca_spec(args, inputs: _Inputs) -> PcaBlockSpec:
+    return inputs.layout.pca_spec(_parse_dims(args.pca_dims) if args.pca_dims else None)
 
 
-def _horizon_names(args, inputs: _Inputs) -> list[str]:
-    if args.horizons:
-        return [h.strip() for h in args.horizons.split(",") if h.strip()]
-    return inputs.default_horizons()
+def _slider_config(args, pattern: str, spec: PcaBlockSpec) -> SliderConfig:
+    return SliderConfig(parse_slider_tuple(pattern, spec.reduced_dim), points_per_dim=args.points)
 
 
-def _report_doc(inputs, result, dims, slide_dims, args) -> dict:
+def _horizon_map(args, inputs: _Inputs) -> dict[str, tuple[str, ...] | None]:
+    if not args.horizons:
+        return inputs.layout.horizon_map()
+    return inputs.layout.horizon_map([h.strip() for h in args.horizons.split(",") if h.strip()])
+
+
+def _report_doc(inputs, result, spec, config, args) -> dict:
     return {
         "tool": "chebslider",
         "tool_version": __version__,
         "source": inputs.source_doc,
         "alpha": args.alpha,
         "points_per_dim": args.points,
-        "pca_dims": list(dims),
-        "slider_tuple": list(slide_dims),
+        "pca_dims": [b.k for b in spec.blocks],
+        "slider_tuple": list(config.slide_dims),
         "scenario_count": inputs.scenarios.count,
         "base_value": result.base_value,
         "build_calls": result.build_calls,
@@ -269,26 +222,22 @@ def _report_doc(inputs, result, dims, slide_dims, args) -> dict:
 
 def cmd_run(args) -> int:
     inputs = _load_inputs(args)
-    dims = _pca_dims(args, inputs)
-    if args.per_trade and args.save_slider:
-        raise ConfigurationError("--save-slider is not supported with --per-trade")
-    slide_dims = parse_slider_tuple(args.slider_tuple, sum(dims))
-    config = SliderConfig(slide_dims=slide_dims, points_per_dim=args.points)
+    spec = _pca_spec(args, inputs)
+    config = _slider_config(args, args.slider_tuple, spec)
     result = run_es_analysis(
         inputs.pricer,
         inputs.scenarios,
         inputs.base_shock,
-        inputs.block_spec(dims),
+        spec,
         config,
         alpha=args.alpha,
-        horizons=inputs.horizon_map(_horizon_names(args, inputs)),
+        horizons=_horizon_map(args, inputs),
         diagnostic=args.diagnostic,
-        per_trade=args.per_trade,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(_report_doc(inputs, result, dims, slide_dims, args), fh, indent=2)
+        json.dump(_report_doc(inputs, result, spec, config, args), fh, indent=2)
         fh.write("\n")
     for horizon, series in result.pnl.items():
         with open(out / f"pnl_{horizon}.csv", "w", encoding="utf-8", newline="") as fh:
@@ -322,20 +271,11 @@ def cmd_sweep(args) -> int:
     patterns = [p.strip() for p in args.tuples.split(";") if p.strip()]
     if not patterns:
         raise ConfigurationError("no slider tuple patterns given")
-    n_blocks = len(inputs.block_defs)
-    # Every cell prices the same scenarios, so brute force runs once; if it
-    # fails, each cell that gets that far records the failure.
-    brute, brute_error = None, ""
-    try:
-        brute = brute_pnl(
-            inputs.pricer,
-            inputs.scenarios,
-            inputs.base_shock,
-            inputs.horizon_map(_horizon_names(args, inputs)),
-        )
-    except ChebSliderError as exc:
-        brute_error = f"{type(exc).__name__}: {exc}"
-    rows = []
+    horizons = _horizon_map(args, inputs)
+    n_blocks = len(inputs.layout.blocks)
+    # Resolve every cell before any pricer call; a cell that fails records
+    # its error instead of stopping the sweep.
+    cells = []
     for total in totals:
         for pattern in patterns:
             cell = {"pca_total_dim": total, "slider_tuple": pattern}
@@ -344,44 +284,58 @@ def cmd_sweep(args) -> int:
                     raise ParameterError(
                         f"total dim {total} not divisible across {n_blocks} blocks"
                     )
-                dims = (total // n_blocks,) * n_blocks
-                slide_dims = parse_slider_tuple(pattern, total)
-                config = SliderConfig(slide_dims=slide_dims, points_per_dim=args.points)
-                block_spec = inputs.block_spec(dims)
-                if brute is None:
-                    rows.append({**cell, "error": brute_error})
-                    continue
-                inputs.pricer.reset_counters()
-                result = run_es_analysis(
-                    inputs.pricer,
-                    inputs.scenarios,
-                    inputs.base_shock,
-                    block_spec,
-                    config,
-                    alpha=args.alpha,
-                    brute=brute,
-                )
+                spec = inputs.layout.pca_spec((total // n_blocks,) * n_blocks)
+                cells.append((cell, spec, _slider_config(args, pattern, spec)))
             except ChebSliderError as exc:
-                rows.append({**cell, "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            for horizon, r in result.reports.items():
-                rows.append(
-                    {
-                        **cell,
-                        "pca_dims": ",".join(str(d) for d in dims),
-                        "slider_tuple": ",".join(str(d) for d in slide_dims),
-                        "horizon": horizon,
-                        "es_brute": repr(r.es_brute),
-                        "es_slider": repr(r.es_slider),
-                        "relative_error": repr(r.relative_error),
-                        "savings": repr(r.savings),
-                        "correlation": repr(r.correlation),
-                        "ks_statistic": repr(r.ks_statistic),
-                        "ks_p_value": repr(r.ks_p_value),
-                        "build_calls": r.build_calls,
-                        "error": "",
-                    }
-                )
+                cells.append(({**cell, "error": f"{type(exc).__name__}: {exc}"}, None, None))
+    # Every cell prices the same scenarios, so brute force runs once; if it
+    # fails, each cell records the failure.
+    brute, brute_error = None, ""
+    if any(spec is not None for _, spec, _ in cells):
+        try:
+            brute = brute_pnl(inputs.pricer, inputs.scenarios, inputs.base_shock, horizons)
+        except ChebSliderError as exc:
+            brute_error = f"{type(exc).__name__}: {exc}"
+    rows = []
+    for cell, spec, config in cells:
+        if spec is None:  # the cell's own error
+            rows.append(cell)
+            continue
+        if brute is None:
+            rows.append({**cell, "error": brute_error})
+            continue
+        try:
+            inputs.pricer.reset_counters()
+            result = run_es_analysis(
+                inputs.pricer,
+                inputs.scenarios,
+                inputs.base_shock,
+                spec,
+                config,
+                alpha=args.alpha,
+                brute=brute,
+            )
+        except ChebSliderError as exc:
+            rows.append({**cell, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        for horizon, r in result.reports.items():
+            rows.append(
+                {
+                    **cell,
+                    "pca_dims": ",".join(str(b.k) for b in spec.blocks),
+                    "slider_tuple": ",".join(str(d) for d in config.slide_dims),
+                    "horizon": horizon,
+                    "es_brute": repr(r.es_brute),
+                    "es_slider": repr(r.es_slider),
+                    "relative_error": repr(r.relative_error),
+                    "savings": repr(r.savings),
+                    "correlation": repr(r.correlation),
+                    "ks_statistic": repr(r.ks_statistic),
+                    "ks_p_value": repr(r.ks_p_value),
+                    "build_calls": r.build_calls,
+                    "error": "",
+                }
+            )
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -396,17 +350,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_backtest(args) -> int:
     inputs = _load_inputs(args)
-    dims = _pca_dims(args, inputs)
-    if args.window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {args.window}")
-    slide_dims = parse_slider_tuple(args.slider_tuple, sum(dims))
-    config = SliderConfig(slide_dims=slide_dims, points_per_dim=args.points)
+    if not 1 <= args.window <= inputs.scenarios.count:
+        raise ConfigurationError(f"window must be in 1..{inputs.scenarios.count}, got {args.window}")
+    spec = _pca_spec(args, inputs)
     result = run_es_analysis(
         inputs.pricer,
         inputs.scenarios,
         inputs.base_shock,
-        inputs.block_spec(dims),
-        config,
+        spec,
+        _slider_config(args, args.slider_tuple, spec),
         alpha=args.alpha,
         horizons={"10d": None},
     )
@@ -455,20 +407,8 @@ def cmd_demo(args) -> int:
     save_portfolio(list(setup.portfolio), out / "portfolio.json")
     scen = generate_synthetic_history(setup.synthetic, args.seed)
     write_scenarios(scen, out / "scenarios.csv")
-    blocks_doc = {
-        "version": 1,
-        "blocks": [
-            {
-                "name": b.name,
-                "factors": list(b.factor_names),
-                "k": k,
-                "horizons": list(b.horizons),
-            }
-            for b, k in zip(setup.synthetic.blocks, setup.default_pca_dims)
-        ],
-    }
     with open(out / "blocks.json", "w", encoding="utf-8") as fh:
-        json.dump(blocks_doc, fh, indent=2)
+        json.dump(setup.blocks_doc(), fh, indent=2)
         fh.write("\n")
     print(f"wrote demo fixtures to {out}")
     return 0

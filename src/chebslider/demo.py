@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .orthopca import PcaBlock, PcaBlockSpec
+from .orthopca import PcaBlockSpec
 from .pricers import (
     Market,
     SwapTrade,
@@ -21,7 +21,7 @@ from .pricers import (
     ZeroCurve,
     market_risk_factors,
 )
-from .riskengine import SyntheticBlock, SyntheticSpec
+from .riskengine import BlockLayout, SyntheticBlock, SyntheticSpec
 
 __all__ = ["DemoSetup", "swaps_demo", "swaptions_demo", "demo_by_name"]
 
@@ -64,7 +64,6 @@ class DemoSetup:
     portfolio: tuple
     synthetic: SyntheticSpec
     default_pca_dims: tuple[int, ...]
-    horizons: tuple[str, ...]
 
     @property
     def factor_names(self) -> tuple[str, ...]:
@@ -74,35 +73,23 @@ class DemoSetup:
         # Today's scenario: the zero shock.
         return np.zeros(len(self.factor_names))
 
+    def blocks_doc(self) -> dict:
+        """The blocks document `chebslider demo` writes: one block per synthetic block."""
+        blocks = [
+            {"name": b.name, "factors": list(b.factor_names), "k": k, "horizons": list(b.horizons)}
+            for b, k in zip(self.synthetic.blocks, self.default_pca_dims)
+        ]
+        return {"version": 1, "blocks": blocks}
+
+    def layout(self) -> BlockLayout:
+        return BlockLayout.from_doc(self.blocks_doc(), self.factor_names, f"{self.name} demo")
+
     def block_spec(self, pca_dims=None) -> PcaBlockSpec:
-        dims = tuple(pca_dims) if pca_dims is not None else self.default_pca_dims
-        if len(dims) != len(self.synthetic.blocks):
-            raise ConfigurationError(
-                f"{self.name} demo has {len(self.synthetic.blocks)} blocks, "
-                f"got {len(dims)} PCA dims"
-            )
-        index = {n: i for i, n in enumerate(self.factor_names)}
-        blocks = []
-        for blk, k in zip(self.synthetic.blocks, dims):
-            blocks.append(
-                PcaBlock(
-                    name=blk.name,
-                    coord_indices=tuple(index[n] for n in blk.factor_names),
-                    k=int(k),
-                )
-            )
-        return PcaBlockSpec(tuple(blocks))
+        return self.layout().pca_spec(pca_dims)
 
     def horizon_map(self, horizons=None) -> dict[str, tuple[str, ...] | None]:
         """Horizon tag -> shocked factor names (None = all factors)."""
-        out: dict[str, tuple[str, ...] | None] = {}
-        for h in horizons if horizons is not None else self.horizons:
-            if h not in self.horizons:
-                raise ConfigurationError(
-                    f"{self.name} demo supports horizons {self.horizons}, got {h!r}"
-                )
-            out[h] = None if h == "10d" else self.synthetic.shocked_factors(h)
-        return out
+        return self.layout().horizon_map(horizons)
 
 
 def _demo_curves() -> dict[str, ZeroCurve]:
@@ -244,7 +231,6 @@ def swaps_demo(scenario_count: int = SWAPS_SCENARIOS) -> DemoSetup:
         portfolio=_swap_portfolio(),
         synthetic=synthetic,
         default_pca_dims=(3,),
-        horizons=("10d",),
     )
 
 
@@ -278,7 +264,6 @@ def swaptions_demo(scenario_count: int = SWAPTIONS_SCENARIOS) -> DemoSetup:
         portfolio=_swaption_portfolio(),
         synthetic=synthetic,
         default_pca_dims=(10, 10),
-        horizons=("10d", "60d"),
     )
 
 

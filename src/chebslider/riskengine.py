@@ -16,15 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheb1d import ClampCounter
-from .errors import ArgumentError, ParameterError, UnknownFactorError
+from .errors import ArgumentError, ConfigurationError, ParameterError, UnknownFactorError
 from .orthopca import (
     OrthogonalSlider,
+    PcaBlock,
     PcaBlockSpec,
     build_orthogonal_slider,
     eval_orthogonal_slider_many,
     reconstruct_through,
 )
-from .pricers import ShockedPortfolioPricer
 from .slider import SliderConfig
 
 __all__ = [
@@ -34,9 +34,9 @@ __all__ = [
     "RatioBacktestSeries",
     "SyntheticBlock",
     "SyntheticSpec",
+    "BlockLayout",
     "BrutePnl",
     "RunResult",
-    "PerTradeSliders",
     "generate_synthetic_history",
     "apply_liquidity_horizon",
     "pnl_distribution",
@@ -242,10 +242,103 @@ class SyntheticSpec:
     def factor_names(self) -> tuple[str, ...]:
         return tuple(n for b in self.blocks for n in b.factor_names)
 
-    def shocked_factors(self, horizon: str) -> tuple[str, ...]:
-        return tuple(
-            n for b in self.blocks if horizon in b.horizons for n in b.factor_names
-        )
+
+# ---------------------------------------------------------------------------
+# PCA blocks and liquidity horizons
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BlockDef:
+    """One block of a blocks document."""
+
+    name: str
+    factors: tuple[str, ...]
+    k: int | None  # default PCA dimension; None: it must be given
+    horizons: tuple[str, ...]  # liquidity horizons at which the factors stay shocked
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """PCA blocks over an ordered risk-factor list, read from a blocks document.
+
+    The document is {"version": 1, "blocks": [{"name", "factors" | "prefix",
+    "k", "horizons"}]}; `k` is optional and `horizons` defaults to ["10d"].
+    The 10-day horizon shocks every factor; any other horizon shocks the
+    factors of the blocks that list it.
+    """
+
+    blocks: tuple[BlockDef, ...]
+    factor_names: tuple[str, ...]
+
+    @classmethod
+    def from_doc(cls, doc, factor_names, where: str = "blocks") -> BlockLayout:
+        """Check a blocks document against the risk factors; errors name `where` and the block."""
+        names = tuple(factor_names)
+        entries = doc.get("blocks") if isinstance(doc, dict) else None
+        if not isinstance(entries, list) or not entries:
+            raise ConfigurationError(f"{where}: needs a non-empty 'blocks' list")
+        blocks = []
+        for i, entry in enumerate(entries):
+            name = entry.get("name") if isinstance(entry, dict) else None
+            if not isinstance(name, str):
+                raise ConfigurationError(f"{where}: block {i} needs a 'name' string")
+            at = f"{where}: block {i} ({name!r})"
+            factors = entry.get("factors")
+            if factors is None and isinstance(entry.get("prefix"), str):
+                factors = [n for n in names if n.startswith(entry["prefix"])]
+            if not isinstance(factors, list) or not factors:
+                raise ConfigurationError(f"{at} needs a 'factors' list or a matching 'prefix'")
+            unknown = [f for f in factors if f not in names]
+            if unknown:
+                raise ConfigurationError(f"{at}: not risk factors: {unknown}")
+            k = entry.get("k")
+            if k is not None and (type(k) is not int or not 1 <= k <= len(factors)):
+                raise ConfigurationError(f"{at}: 'k' must be an integer in 1..{len(factors)}")
+            horizons = entry.get("horizons", ["10d"])
+            if not isinstance(horizons, list) or not all(isinstance(h, str) for h in horizons):
+                raise ConfigurationError(f"{at}: 'horizons' must be a list of tags")
+            blocks.append(BlockDef(name, tuple(factors), k, tuple(horizons)))
+        covered = [f for b in blocks for f in b.factors]
+        if sorted(covered) != sorted(names):
+            raise ConfigurationError(
+                f"{where}: blocks must cover each of the {len(names)} risk factors exactly once"
+            )
+        return cls(tuple(blocks), names)
+
+    @property
+    def horizons(self) -> tuple[str, ...]:
+        """Every defined horizon: 10d first, then in order of appearance."""
+        return tuple(dict.fromkeys(("10d", *(h for b in self.blocks for h in b.horizons))))
+
+    def pca_spec(self, pca_dims=None) -> PcaBlockSpec:
+        """The blocks reduced to `pca_dims` dimensions (default: each block's k)."""
+        if pca_dims is None:
+            missing = [b.name for b in self.blocks if b.k is None]
+            if missing:
+                raise ConfigurationError(f"no PCA dims given and no 'k' in blocks {missing}")
+            pca_dims = tuple(b.k for b in self.blocks)
+        if len(pca_dims) != len(self.blocks):
+            raise ConfigurationError(
+                f"{len(self.blocks)} blocks defined, got {len(pca_dims)} PCA dims"
+            )
+        index = {n: i for i, n in enumerate(self.factor_names)}
+        pca_blocks = []
+        for b, k in zip(self.blocks, pca_dims):
+            if k > len(b.factors):
+                raise ParameterError(f"block {b.name!r} has {len(b.factors)} factors, got k={k}")
+            pca_blocks.append(PcaBlock(b.name, tuple(index[f] for f in b.factors), int(k)))
+        return PcaBlockSpec(tuple(pca_blocks))
+
+    def horizon_map(self, names=None) -> dict[str, tuple[str, ...] | None]:
+        """Horizon tag -> shocked factor names (None = all factors); default every horizon."""
+        out: dict[str, tuple[str, ...] | None] = {}
+        for h in self.horizons if names is None else names:
+            if h not in self.horizons:
+                raise ConfigurationError(f"horizon {h!r} not defined (have {list(self.horizons)})")
+            out[h] = None if h == "10d" else tuple(
+                f for b in self.blocks if h in b.horizons for f in b.factors
+            )
+        return out
 
 
 def _cosine_basis(p: int) -> np.ndarray:
@@ -483,19 +576,6 @@ def rolling_ratio_backtest(hypothetical, risk_theoretical, window: int) -> Ratio
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PerTradeSliders:
-    """One orthogonal slider per trade; evaluations sum across trades."""
-
-    sliders: tuple[OrthogonalSlider, ...]
-
-    def eval_many(self, shocks, clamp_counter: ClampCounter | None = None) -> np.ndarray:
-        total = eval_orthogonal_slider_many(self.sliders[0], shocks, clamp_counter)
-        for s in self.sliders[1:]:
-            total = total + eval_orthogonal_slider_many(s, shocks, clamp_counter)
-        return total
-
-
-@dataclass(frozen=True)
 class BrutePnl:
     """Brute-force P&L of every horizon, from one base valuation."""
 
@@ -544,7 +624,7 @@ def brute_pnl(
 
 @dataclass
 class RunResult:
-    slider: OrthogonalSlider | PerTradeSliders
+    slider: OrthogonalSlider
     reports: dict[str, EsReport]
     pnl: dict[str, dict[str, PnlDistribution]]  # horizon -> source -> series
     labels: dict[str, tuple[str, ...]]
@@ -568,7 +648,6 @@ def run_es_analysis(
     horizons: dict[str, tuple[str, ...] | None] | None = None,
     diagnostic: bool = False,
     domain_pad: float = 0.01,
-    per_trade: bool = False,
     brute: BrutePnl | None = None,
 ) -> RunResult:
     """Full brute-vs-slider comparison on the 10-day history plus reuse horizons.
@@ -580,11 +659,6 @@ def run_es_analysis(
     Pass `brute`, the brute_pnl of the same pricer, scenarios, base shock
     and horizons, to reuse one brute-force pass across several slider
     configurations; `horizons` is then taken from it.
-
-    With per_trade=True one slider is built per trade (single-trade pricers,
-    so each build costs 1 + sum of slide mesh sizes trade valuations) and
-    evaluations sum across trades; build_calls stays in portfolio-valuation
-    equivalents, which is unchanged.
     """
     base_shock = np.asarray(base_shock, dtype=float)
     if brute is None:
@@ -594,26 +668,10 @@ def run_es_analysis(
     base_value = brute.base_value
 
     calls_before_build = pricer.call_count
-    if per_trade:
-        if not isinstance(pricer, ShockedPortfolioPricer):
-            raise ArgumentError("per_trade runs need a ShockedPortfolioPricer")
-        sliders = []
-        for trade in pricer.portfolio:
-            sub = ShockedPortfolioPricer([trade], pricer.market, factors=pricer.factors)
-            sliders.append(
-                build_orthogonal_slider(
-                    sub, scenarios.shocks, block_spec, config, base_shock,
-                    domain_pad=domain_pad,
-                )
-            )
-        oslider: OrthogonalSlider | PerTradeSliders = PerTradeSliders(tuple(sliders))
-        build_calls = sliders[0].slider.build_call_count
-    else:
-        oslider = build_orthogonal_slider(
-            pricer, scenarios.shocks, block_spec, config, base_shock,
-            domain_pad=domain_pad,
-        )
-        build_calls = pricer.call_count - calls_before_build
+    oslider = build_orthogonal_slider(
+        pricer, scenarios.shocks, block_spec, config, base_shock, domain_pad=domain_pad,
+    )
+    build_calls = pricer.call_count - calls_before_build
 
     points = (
         config.points_per_dim
@@ -632,17 +690,13 @@ def run_es_analysis(
 
         clamp = ClampCounter()
         calls_before_eval = pricer.call_count
-        if isinstance(oslider, PerTradeSliders):
-            slider_values = oslider.eval_many(scen_h.shocks, clamp)
-        else:
-            slider_values = eval_orthogonal_slider_many(oslider, scen_h.shocks, clamp)
+        slider_values = eval_orthogonal_slider_many(oslider, scen_h.shocks, clamp)
         incremental = pricer.call_count - calls_before_eval  # slider reuse: 0
         slider_pnl = PnlDistribution(values=slider_values - base_value, source="slider")
 
         series = {"brute": brute_h, "slider": slider_pnl}
         if diagnostic:
-            proj = oslider.sliders[0] if isinstance(oslider, PerTradeSliders) else oslider
-            repriced_shocks = reconstruct_through(proj, scen_h.shocks)
+            repriced_shocks = reconstruct_through(oslider, scen_h.shocks)
             repriced = _evaluate_rows(pricer, repriced_shocks)
             series["pca_repriced"] = PnlDistribution(
                 values=repriced - base_value, source="pca_repriced"
@@ -697,22 +751,27 @@ def write_scenarios(scen: ScenarioSet, path) -> None:
 
 
 def read_scenarios(path, horizon: str = "10d") -> ScenarioSet:
+    """Read a scenario CSV; malformed content raises ArgumentError naming the file and line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "label":
-            raise ArgumentError("scenario CSV must start with a 'label' header column")
-        names = tuple(header[1:])
-        labels = []
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            labels.append(line[0])
-            rows.append([float(v) for v in line[1:]])
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "label":
+                raise ValueError("scenario CSV must start with a 'label' header column")
+            labels = []
+            rows = []
+            for line in reader:
+                if not line:
+                    continue
+                if len(line) != len(header):
+                    raise ValueError(f"{len(line)} cells, the header has {len(header)}")
+                labels.append(line[0])
+                rows.append([float(v) for v in line[1:]])
+        except (ValueError, csv.Error) as exc:  # also a non-numeric cell, undecodable bytes
+            raise ArgumentError(f"{path}, line {reader.line_num or 1}: {exc}") from None
     return ScenarioSet(
         labels=tuple(labels),
         shocks=np.asarray(rows, dtype=float),
-        factor_names=names,
+        factor_names=tuple(header[1:]),
         horizon=horizon,
     )

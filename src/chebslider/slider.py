@@ -118,6 +118,12 @@ class Slider:
         return len(self.pivot)
 
 
+def _tuple_int(token: str, text: str) -> int:
+    if not token.strip().isdecimal() or int(token) < 1:
+        raise ConfigurationError(f"slider tuple {text!r}: {token!r} is not a positive integer")
+    return int(token)
+
+
 def parse_slider_tuple(text: str, total_dim: int | None = None) -> tuple[int, ...]:
     """Parse a slide-dimension tuple such as "1,1,1", "1x20", "3,1x17" or "3,1x*".
 
@@ -131,7 +137,7 @@ def parse_slider_tuple(text: str, total_dim: int | None = None) -> tuple[int, ..
     for pos, tok in enumerate(tokens):
         if "x" in tok:
             val_s, count_s = tok.split("x", 1)
-            val = int(val_s)
+            val = _tuple_int(val_s, text)
             if count_s == "*":
                 if pos != len(tokens) - 1:
                     raise ConfigurationError(f"'x*' is only allowed in the last entry: {text!r}")
@@ -144,9 +150,9 @@ def parse_slider_tuple(text: str, total_dim: int | None = None) -> tuple[int, ..
                     )
                 dims.extend([val] * (remaining // val))
                 continue
-            dims.extend([val] * int(count_s))
+            dims.extend([val] * _tuple_int(count_s, text))
         else:
-            dims.append(int(tok))
+            dims.append(_tuple_int(tok, text))
     if total_dim is not None and sum(dims) != total_dim:
         raise ConfigurationError(
             f"tuple {text!r} sums to {sum(dims)}, expected {total_dim}"

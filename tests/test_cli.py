@@ -1,13 +1,21 @@
 """Command-line interface: subcommands, files, exit codes, schema."""
 
+import contextlib
 import csv
+import io
 import json
+import re
+import shlex
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chebslider.cli import main
+from chebslider.cli import build_parser, main
 from chebslider.pricers import ShockedPortfolioPricer
 
 
@@ -126,27 +134,37 @@ class TestDemoAndFileMode:
         jsonschema.validate(report, load_schema())
 
     def test_file_mode_matches_synthetic_mode(self, tmp_path):
+        for book, dims, horizons in (("swaps", "3", "10d"), ("swaptions", "4,4", "10d,60d")):
+            fixtures = tmp_path / book
+            run_cli("demo", "--which", book, "--seed", "5", "--scenario-count", "200",
+                    "--out", str(fixtures))
+            common = ["--pca-dims", dims, "--horizons", horizons]
+            out_file = tmp_path / f"{book}_file"
+            assert _file_run(fixtures, out_file, *common) == 0
+            out_syn = tmp_path / f"{book}_syn"
+            assert run_cli(
+                "run", "--synthetic", book, "--seed", "5", "--scenario-count", "200",
+                *common, "--out", str(out_syn),
+            ) == 0
+            a = json.loads((out_file / "report.json").read_text())
+            b = json.loads((out_syn / "report.json").read_text())
+            assert a.pop("source")["kind"] == "files" and b.pop("source")["kind"] == "synthetic"
+            assert a == b
+            for h in horizons.split(","):
+                assert (out_file / f"pnl_{h}.csv").read_bytes() == (
+                    out_syn / f"pnl_{h}.csv"
+                ).read_bytes()
+
+    def test_file_run_takes_k_from_blocks(self, tmp_path):
         fixtures = tmp_path / "fix"
-        run_cli("demo", "--which", "swaps", "--seed", "5", "--scenario-count", "200",
+        run_cli("demo", "--which", "swaps", "--seed", "5", "--scenario-count", "120",
                 "--out", str(fixtures))
-        out_file = tmp_path / "file_run"
-        run_cli(
-            "run",
-            "--portfolio", str(fixtures / "portfolio.json"),
-            "--market", str(fixtures / "market.json"),
-            "--scenarios", str(fixtures / "scenarios.csv"),
-            "--blocks", str(fixtures / "blocks.json"),
-            "--pca-dims", "3", "--out", str(out_file),
-        )
-        out_syn = tmp_path / "syn_run"
-        run_cli(
-            "run", "--synthetic", "swaps", "--seed", "5", "--scenario-count", "200",
-            "--pca-dims", "3", "--out", str(out_syn),
-        )
-        a = json.loads((out_file / "report.json").read_text())["horizons"]["10d"]
-        b = json.loads((out_syn / "report.json").read_text())["horizons"]["10d"]
-        assert a["es_brute"] == pytest.approx(b["es_brute"], rel=1e-12)
-        assert a["es_slider"] == pytest.approx(b["es_slider"], rel=1e-12)
+        assert json.loads((fixtures / "blocks.json").read_text())["blocks"][0]["k"] == 3
+        assert _file_run(fixtures, tmp_path / "k") == 0
+        assert _file_run(fixtures, tmp_path / "dims", "--pca-dims", "3") == 0
+        assert (tmp_path / "k/report.json").read_bytes() == (
+            tmp_path / "dims/report.json"
+        ).read_bytes()
 
     def test_file_mode_requires_pca_dims(self, capsys, tmp_path):
         fixtures = tmp_path / "fix"
@@ -159,6 +177,199 @@ class TestDemoAndFileMode:
             "--out", str(tmp_path / "o"),
         )
         assert code == 2
+
+
+def _file_run_argv(fixtures, out, *extra, scenarios=None, blocks=None):
+    return [
+        "run",
+        "--portfolio", str(fixtures / "portfolio.json"),
+        "--market", str(fixtures / "market.json"),
+        "--scenarios", str(scenarios or fixtures / "scenarios.csv"),
+        "--blocks", str(blocks or fixtures / "blocks.json"),
+        *extra, "--out", str(out),
+    ]
+
+
+def _file_run(fixtures, out, *extra):
+    return main(_file_run_argv(fixtures, out, *extra))
+
+
+@pytest.fixture(scope="module")
+def swaptions_files(tmp_path_factory):
+    fixtures = tmp_path_factory.mktemp("swaptions")
+    assert run_cli(
+        "demo", "--which", "swaptions", "--seed", "1", "--scenario-count", "30",
+        "--out", str(fixtures),
+    ) == 0
+    return fixtures
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of one in-process CLI run; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _one_json_error(stderr):
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return json.loads(lines[0])
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+
+
+def _mutate_scenarios(data, text, factor_names):
+    rows = [line.split(",") for line in text.splitlines()]
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    j = data.draw(st.integers(0, len(rows[i]) - 1), label="cell")
+    op = data.draw(st.sampled_from(["drop cell", "insert text", "rename factor"]), label="csv")
+    if op == "drop cell":
+        del rows[i][j]
+    elif op == "insert text":
+        rows[i][j] = data.draw(_TEXT, label="text")
+    else:
+        rows[0][j] = data.draw(st.one_of(_TEXT, st.sampled_from(factor_names)), label="name")
+    return "\n".join(",".join(r) for r in rows) + "\n"
+
+
+def _mutate_blocks(data, doc, factor_names):
+    op = data.draw(
+        st.sampled_from(["remove key", "insert text", "rename factor", "corrupt JSON"]),
+        label="json",
+    )
+    block = data.draw(st.sampled_from(doc["blocks"]), label="block")
+    if op == "remove key":
+        key = data.draw(st.sampled_from(sorted(block) + ["blocks"]), label="key")
+        del (doc if key == "blocks" else block)[key]
+    elif op == "insert text":
+        block[data.draw(st.sampled_from(sorted(block)), label="key")] = data.draw(_TEXT)
+    elif op == "rename factor":
+        f = data.draw(st.integers(0, len(block["factors"]) - 1), label="factor")
+        block["factors"][f] = data.draw(st.one_of(_TEXT, st.sampled_from(factor_names)))
+    text = json.dumps(doc)
+    if op == "corrupt JSON":
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + data.draw(_TEXT, label="text") + text[at:]
+    return text
+
+
+class TestMalformedInputs:
+    """Bad files and options end in one JSON error object on stderr, before any pricing."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("ragged row", "scenarios.csv, line 3: 40 cells, the header has 41"),
+            ("text cell", "scenarios.csv, line 4: could not convert string to float: 'abc'"),
+            ("block without name", "blocks.json: block 0 needs a 'name' string"),
+            ("unknown factor", "blocks.json: block 1 ('vols'): not risk factors: ['rate:nope:1']"),
+        ],
+    )
+    def test_malformed_file_exits_2(self, swaptions_files, tmp_path, case, message):
+        lines = (swaptions_files / "scenarios.csv").read_text().splitlines()
+        doc = json.loads((swaptions_files / "blocks.json").read_text())
+        if case == "ragged row":
+            lines[2] = lines[2].rsplit(",", 1)[0]
+        elif case == "text cell":
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+        elif case == "block without name":
+            del doc["blocks"][0]["name"]
+        else:
+            doc["blocks"][1]["factors"][0] = "rate:nope:1"
+        scenarios, blocks = tmp_path / "scenarios.csv", tmp_path / "blocks.json"
+        scenarios.write_text("\n".join(lines) + "\n")
+        blocks.write_text(json.dumps(doc))
+        code, err = _run_quietly(
+            _file_run_argv(swaptions_files, tmp_path / "o", scenarios=scenarios, blocks=blocks)
+        )
+        assert code == 2
+        assert _one_json_error(err)["message"].endswith(message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--alpha", "1.5", "--out", "{tmp}/o"],
+            ["run", "--slider-tuple", "3,2x*", "--out", "{tmp}/o"],
+            ["run", "--pca-dims", "3,30", "--out", "{tmp}/o"],
+            ["backtest", "--pca-dims", "3", "--out", "{tmp}/r.csv"],
+            ["backtest", "--window", "301", "--out", "{tmp}/r.csv"],
+            ["sweep", "--alpha", "1.5", "--dims", "4,20", "--tuples", "1x*;2,1x*",
+             "--out", "{tmp}/s.csv"],
+        ],
+        ids=["run-alpha", "run-tuple", "run-dims", "backtest-dims", "backtest-window",
+             "sweep-alpha"],
+    )
+    def test_bad_option_exits_2_before_any_pricer_call(self, tmp_path, monkeypatch, argv):
+        calls = {"n": 0}
+        call = ShockedPortfolioPricer.__call__
+
+        def counted(self, shock):
+            calls["n"] += 1
+            return call(self, shock)
+
+        monkeypatch.setattr(ShockedPortfolioPricer, "__call__", counted)
+        code, err = _run_quietly(
+            [argv[0], "--synthetic", "swaptions", "--scenario-count", "300",
+             *(a.format(tmp=tmp_path) for a in argv[1:])]
+        )
+        assert code == 2
+        _one_json_error(err)
+        assert calls["n"] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_inputs_fail_cleanly(self, swaptions_files, data):
+        scenarios = (swaptions_files / "scenarios.csv").read_text()
+        doc = json.loads((swaptions_files / "blocks.json").read_text())
+        factor_names = scenarios.splitlines()[0].split(",")[1:]
+        target = data.draw(st.sampled_from(["scenarios", "blocks", "both"]), label="target")
+        if target != "blocks":
+            scenarios = _mutate_scenarios(data, scenarios, factor_names)
+        blocks = json.dumps(doc)
+        if target != "scenarios":
+            blocks = _mutate_blocks(data, doc, factor_names)
+        # without --pca-dims the blocks' k applies, so a mutated k is exercised too
+        dims = data.draw(st.sampled_from([["--pca-dims", "2,2"], []]), label="dims")
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "scenarios.csv").write_text(scenarios, encoding="utf-8")
+            (tmp / "blocks.json").write_text(blocks, encoding="utf-8")
+            code, err = _run_quietly(
+                _file_run_argv(
+                    swaptions_files, tmp / "o", *dims,
+                    scenarios=tmp / "scenarios.csv", blocks=tmp / "blocks.json",
+                )
+            )
+        assert code in (0, 2, 3)
+        if code:
+            _one_json_error(err)
+
+
+def _readme_commands():
+    """Every `chebslider ...` command in the README's bash blocks, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["chebslider"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: chebslider {shlex.join(argv)}")
 
 
 class TestSweep:

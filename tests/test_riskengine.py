@@ -33,8 +33,9 @@ from chebslider import (
     savings,
     shocked_pricer,
 )
-from chebslider.demo import swaps_demo
-from chebslider.riskengine import kolmogorov_sf, read_scenarios, write_scenarios
+from chebslider.demo import swaps_demo, swaptions_demo
+from chebslider.errors import ConfigurationError
+from chebslider.riskengine import BlockLayout, kolmogorov_sf, read_scenarios, write_scenarios
 
 from .oracles import es_exhaustive, kolmogorov_sf_theta
 
@@ -466,33 +467,50 @@ class TestScenarioCsv:
             read_scenarios(path)
 
 
-class TestPerTradeSliders:
-    def test_per_trade_matches_portfolio_mode_for_linear_book(self):
-        demo = swaps_demo(scenario_count=200)
-        scen = generate_synthetic_history(demo.synthetic, 8)
-        base = demo.base_shock()
-        cfg = SliderConfig((1, 1, 1), 5)
+_NAMES = ("a1", "a2", "a3", "b1", "b2")
 
-        p1 = shocked_pricer(list(demo.portfolio), demo.market)
-        whole = run_es_analysis(p1, scen, base, demo.block_spec((3,)), cfg,
-                                horizons=demo.horizon_map())
-        p2 = shocked_pricer(list(demo.portfolio), demo.market)
-        per = run_es_analysis(p2, scen, base, demo.block_spec((3,)), cfg,
-                              horizons=demo.horizon_map(), per_trade=True)
 
-        a = whole.pnl["10d"]["slider"].values
-        b = per.pnl["10d"]["slider"].values
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) <= 1e-8 * scale
-        assert per.reports["10d"].build_calls == 16
-        assert per.reports["10d"].incremental_calls == 0
-        # per-trade builds use their own single-trade pricers
-        assert p2.call_count == 1 + scen.count
+class TestBlockLayout:
+    def test_prefix_k_and_horizons(self):
+        layout = BlockLayout.from_doc(
+            {"blocks": [{"name": "b", "prefix": "b", "horizons": ["60d", "20d"]},
+                        {"name": "a", "factors": ["a1", "a2", "a3"], "k": 2}]},
+            _NAMES,
+        )
+        assert layout.horizons == ("10d", "60d", "20d")
+        assert layout.horizon_map(["20d", "10d"]) == {"20d": ("b1", "b2"), "10d": None}
+        spec = layout.pca_spec((1, 2))
+        assert [(b.name, b.coord_indices, b.k) for b in spec.blocks] == [
+            ("b", (3, 4), 1), ("a", (0, 1, 2), 2)
+        ]
+        with pytest.raises(ConfigurationError, match="no 'k' in blocks \\['b'\\]"):
+            layout.pca_spec()
+        with pytest.raises(ConfigurationError, match="horizon '5d' not defined"):
+            layout.horizon_map(["5d"])
+        with pytest.raises(ParameterError):
+            layout.pca_spec((3, 2))
 
-    def test_per_trade_requires_portfolio_pricer(self):
-        demo = swaps_demo(scenario_count=50)
-        scen = generate_synthetic_history(demo.synthetic, 8)
-        f = InstrumentedPricer(lambda v: float(v.sum()))
-        with pytest.raises(ArgumentError):
-            run_es_analysis(f, scen, demo.base_shock(), demo.block_spec((3,)),
-                            SliderConfig((1, 1, 1), 5), per_trade=True)
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([{"factors": list(_NAMES)}], "block 0 needs a 'name'"),
+            ([{"name": "x", "factors": ["a1", "zz"]}], "'x'\\): not risk factors: \\['zz'\\]"),
+            ([{"name": "x", "prefix": "q"}], "needs a 'factors' list or a matching 'prefix'"),
+            ([{"name": "x", "factors": list(_NAMES), "k": 0}], "'k' must be an integer in 1..5"),
+            ([{"name": "x", "factors": list(_NAMES), "horizons": "60d"}], "'horizons' must"),
+            ([{"name": "x", "factors": ["a1", "a2"]}], "cover each of the 5 risk factors"),
+        ],
+    )
+    def test_malformed_blocks_name_the_block(self, blocks, message):
+        with pytest.raises(ConfigurationError, match=f"^f.json: .*{message}"):
+            BlockLayout.from_doc({"blocks": blocks}, _NAMES, "f.json")
+
+    @pytest.mark.parametrize("demo", [swaps_demo(50), swaptions_demo(50)], ids=["swaps", "swaptions"])
+    def test_demo_layout_is_its_blocks_doc(self, demo):
+        assert demo.block_spec() == demo.block_spec(demo.default_pca_dims)
+        assert [b.k for b in demo.block_spec().blocks] == list(demo.default_pca_dims)
+        horizons = tuple(dict.fromkeys(h for b in demo.synthetic.blocks for h in b.horizons))
+        assert tuple(demo.horizon_map()) == horizons
+        for h, shocked in demo.horizon_map().items():
+            want = [n for b in demo.synthetic.blocks if h in b.horizons for n in b.factor_names]
+            assert shocked is None if h == "10d" else list(shocked) == want

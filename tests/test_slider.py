@@ -77,6 +77,11 @@ class TestParseSliderTuple:
     def test_braces_accepted(self):
         assert parse_slider_tuple("{2,1,1}") == (2, 1, 1)
 
+    @pytest.mark.parametrize("text", ["foo", "0x*", "1x0", "x3", "3x", "2,-1", "1.5"])
+    def test_malformed_entries_rejected(self, text):
+        with pytest.raises(ConfigurationError):
+            parse_slider_tuple(text, 3)
+
 
 class TestBuildSlider:
     def test_call_count_ones_config(self):
