@@ -25,6 +25,7 @@ __all__ = [
     "chebyshev_points_centered",
     "barycentric_eval",
     "barycentric_eval_many",
+    "barycentric_basis",
     "build_interpolant",
     "eval_barycentric",
     "eval_barycentric_many",
@@ -212,20 +213,42 @@ def barycentric_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
 def barycentric_eval_many(
     nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized barycentric evaluation over a 1-D array of points."""
+    """Vectorized barycentric evaluation over a 1-D array of points.
+
+    Same result as barycentric_eval at each point. An exact node hit makes
+    the formula 0/0-like (non-finite), as does an overflow next to a node;
+    both rows take the nearest node's value, which for a hit is the stored one.
+    """
     xs = np.asarray(xs, dtype=float)
     diff = xs[:, None] - nodes[None, :]
-    hits = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = weights / diff
         out = (w @ values) / w.sum(axis=1)
-    hit_rows = hits.any(axis=1)
-    if hit_rows.any():
-        out[hit_rows] = values[hits[hit_rows].argmax(axis=1)]
-    overflow = ~np.isfinite(out)
-    if overflow.any():
-        out[overflow] = values[np.argmin(np.abs(diff[overflow]), axis=1)]
+    snap = ~np.isfinite(out)
+    if snap.any():
+        out[snap] = values[np.argmin(np.abs(diff[snap]), axis=1)]
     return out
+
+
+def barycentric_basis(nodes: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(s, m) matrix of the Lagrange basis at each point: row i holds l_j(xs[i]).
+
+    `barycentric_basis(...) @ values` is the interpolant at every point. A
+    row whose denominator is not finite (an exact node hit, or 1/(x - node)
+    overflowing next to a node) is one-hot at the nearest node, as in
+    barycentric_eval, so node hits reproduce stored values bit for bit.
+    """
+    xs = np.asarray(xs, dtype=float)
+    diff = xs[:, None] - nodes[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = weights / diff
+        den = w.sum(axis=1)
+        basis = w / den[:, None]
+    snap = np.flatnonzero(~np.isfinite(den))
+    if snap.size:
+        basis[snap] = 0.0
+        basis[snap, np.argmin(np.abs(diff[snap]), axis=1)] = 1.0
+    return basis
 
 
 def _clamp_coordinate(x: float, domain: Domain1D, clamp_counter: ClampCounter | None) -> float:

@@ -1,9 +1,15 @@
 """Multi-dimensional Chebyshev meshes over hyper-rectangles.
 
-Evaluation collapses one dimension at a time, last dimension first: each
-collapse runs the 1-D barycentric formula once per remaining fiber, so a
-(m1, ..., md) tensor costs m1*...*m_{d-1} + ... + m1 + 1 one-dimensional
-evaluations per point.
+Two evaluation paths give the same tensor interpolant:
+
+- eval_tensor, the scalar reference, collapses one dimension at a time,
+  last dimension first. Each collapse runs the 1-D barycentric formula once
+  per remaining fiber, so a (m1, ..., md) tensor costs
+  m1*...*m_{d-1} + ... + m1 + 1 one-dimensional evaluations per point
+  (eval_call_count).
+- eval_tensor_many, the batch path, builds one (s, m_k) barycentric basis
+  matrix per axis for all s points and contracts the value tensor with
+  them, last axis first. It makes no scalar 1-D evaluations.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .cheb1d import (
     ClampCounter,
     Domain1D,
     _clamp_coordinate,
+    barycentric_basis,
     barycentric_eval,
     barycentric_eval_many,
     chebyshev_points,
@@ -149,10 +156,13 @@ def eval_tensor(t: ChebyshevTensor, x, clamp_counter: ClampCounter | None = None
 def eval_tensor_many(
     t: ChebyshevTensor, xs, clamp_counter: ClampCounter | None = None
 ) -> np.ndarray:
-    """Evaluate the tensor at each row of xs.
+    """Evaluate the tensor at each row of xs; equal to eval_tensor row by row.
 
-    One-dimensional tensors take a vectorized path; higher dimensions loop
-    over rows through eval_tensor.
+    Coordinates outside the box are clamped (one count per clamped
+    coordinate). One-dimensional tensors use barycentric_eval_many directly.
+    Higher dimensions contract the values with each axis's barycentric basis
+    matrix, last axis first; points on mesh nodes return the stored values
+    bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != t.mesh.ndim:
@@ -161,14 +171,27 @@ def eval_tensor_many(
         )
     if not np.isfinite(xs).all():
         raise ArgumentError("evaluation points must be finite")
-    if t.mesh.ndim == 1:
-        g = t.mesh.grids[0]
-        col = xs[:, 0]
-        clipped = np.clip(col, g.domain.lo, g.domain.hi)
-        if clamp_counter is not None:
-            clamp_counter.record(int(np.count_nonzero(clipped != col)))
-        return barycentric_eval_many(g.nodes, g.weights, t.values, clipped)
-    return np.array([eval_tensor(t, row, clamp_counter) for row in xs])
+    grids, shape = t.mesh.grids, t.mesh.shape
+    lo = np.array([g.domain.lo for g in grids])
+    hi = np.array([g.domain.hi for g in grids])
+    clipped = np.clip(xs, lo, hi)
+    if clamp_counter is not None:
+        clamp_counter.record(int(np.count_nonzero(clipped != xs)))
+    if len(grids) == 1:
+        g = grids[0]
+        return barycentric_eval_many(g.nodes, g.weights, t.values, clipped[:, 0])
+    s = xs.shape[0]
+    g = grids[-1]
+    # work[i, p]: the values with the last axes already collapsed at point i.
+    work = barycentric_basis(g.nodes, g.weights, clipped[:, -1]) @ t.values.reshape(-1, g.size).T
+    for axis in range(len(grids) - 2, -1, -1):
+        g = grids[axis]
+        work = np.einsum(
+            "spj,sj->sp",
+            work.reshape(s, math.prod(shape[:axis]), g.size),
+            barycentric_basis(g.nodes, g.weights, clipped[:, axis]),
+        )
+    return work.reshape(s)
 
 
 def eval_call_count(dims) -> int:

@@ -191,7 +191,8 @@ def _load_inputs(args) -> _Inputs:
 
 
 def _pca_spec(args, inputs: _Inputs) -> PcaBlockSpec:
-    return inputs.layout.pca_spec(_parse_dims(args.pca_dims) if args.pca_dims else None)
+    dims = _parse_dims(args.pca_dims) if args.pca_dims else None
+    return inputs.layout.pca_spec(dims, inputs.scenarios.count)
 
 
 def _slider_config(args, pattern: str, spec: PcaBlockSpec) -> SliderConfig:
@@ -284,7 +285,9 @@ def cmd_sweep(args) -> int:
                     raise ParameterError(
                         f"total dim {total} not divisible across {n_blocks} blocks"
                     )
-                spec = inputs.layout.pca_spec((total // n_blocks,) * n_blocks)
+                spec = inputs.layout.pca_spec(
+                    (total // n_blocks,) * n_blocks, inputs.scenarios.count
+                )
                 cells.append((cell, spec, _slider_config(args, pattern, spec)))
             except ChebSliderError as exc:
                 cells.append(({**cell, "error": f"{type(exc).__name__}: {exc}"}, None, None))

@@ -591,24 +591,35 @@ def save_market(market: Market, path) -> None:
         json.dump(doc, fh, indent=2)
 
 
+def _malformed(path, where: str, exc: Exception) -> ConfigurationError:
+    detail = f"missing key {exc}" if type(exc) is KeyError else str(exc)
+    return ConfigurationError(f"{path}{where}: {detail}")
+
+
 def load_market(path) -> Market:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    curves = {
-        cid: ZeroCurve(
-            tenors=np.asarray(c["tenors"], dtype=float),
-            zero_rates=np.asarray(c["zero_rates"], dtype=float),
-        )
-        for cid, c in doc["curves"].items()
-    }
-    surf = doc.get("vol_surface")
-    surface = None
-    if surf is not None:
-        surface = VolSurface(
-            expiries=np.asarray(surf["expiries"], dtype=float),
-            tenors=np.asarray(surf["tenors"], dtype=float),
-            vols=np.asarray(surf["vols"], dtype=float),
-        )
+    """Read a market file; malformed content raises ConfigurationError naming file and curve."""
+    where = ""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        curves = {}
+        for cid, c in doc["curves"].items():
+            where = f", curve {cid!r}"
+            curves[cid] = ZeroCurve(
+                tenors=np.asarray(c["tenors"], dtype=float),
+                zero_rates=np.asarray(c["zero_rates"], dtype=float),
+            )
+        where = ", vol_surface"
+        surf = doc.get("vol_surface")
+        surface = None
+        if surf is not None:
+            surface = VolSurface(
+                expiries=np.asarray(surf["expiries"], dtype=float),
+                tenors=np.asarray(surf["tenors"], dtype=float),
+                vols=np.asarray(surf["vols"], dtype=float),
+            )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise _malformed(path, where, exc) from None
     return Market(curves=curves, surface=surface)
 
 
@@ -658,22 +669,29 @@ def save_portfolio(portfolio, path) -> None:
         json.dump({"version": 1, "trades": trades}, fh, indent=2)
 
 
+def _trade_from_dict(d: dict):
+    if d["type"] == "swap":
+        return _swap_from_dict(d)
+    if d["type"] == "swaption":
+        return SwaptionTrade(
+            expiry=float(d["expiry"]),
+            strike=float(d["strike"]),
+            payer=bool(d["payer"]),
+            underlying=_swap_from_dict(d["underlying"]),
+        )
+    raise ConfigurationError(f"unknown trade type {d['type']!r}")
+
+
 def load_portfolio(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = []
-    for d in doc["trades"]:
-        if d["type"] == "swap":
-            out.append(_swap_from_dict(d))
-        elif d["type"] == "swaption":
-            out.append(
-                SwaptionTrade(
-                    expiry=float(d["expiry"]),
-                    strike=float(d["strike"]),
-                    payer=bool(d["payer"]),
-                    underlying=_swap_from_dict(d["underlying"]),
-                )
-            )
-        else:
-            raise ConfigurationError(f"unknown trade type {d['type']!r}")
+    """Read a portfolio file; malformed content raises ConfigurationError naming file and trade."""
+    where = ""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        out = []
+        for i, d in enumerate(doc["trades"]):
+            where = f", trade {i}"
+            out.append(_trade_from_dict(d))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise _malformed(path, where, exc) from None
     return out

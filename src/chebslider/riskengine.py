@@ -310,8 +310,12 @@ class BlockLayout:
         """Every defined horizon: 10d first, then in order of appearance."""
         return tuple(dict.fromkeys(("10d", *(h for b in self.blocks for h in b.horizons))))
 
-    def pca_spec(self, pca_dims=None) -> PcaBlockSpec:
-        """The blocks reduced to `pca_dims` dimensions (default: each block's k)."""
+    def pca_spec(self, pca_dims=None, scenario_count: int | None = None) -> PcaBlockSpec:
+        """The blocks reduced to `pca_dims` dimensions (default: each block's k).
+
+        Given `scenario_count`, each k is also checked against it, as the PCA
+        fit will: k components need k scenarios, and at least 2.
+        """
         if pca_dims is None:
             missing = [b.name for b in self.blocks if b.k is None]
             if missing:
@@ -326,6 +330,11 @@ class BlockLayout:
         for b, k in zip(self.blocks, pca_dims):
             if k > len(b.factors):
                 raise ParameterError(f"block {b.name!r} has {len(b.factors)} factors, got k={k}")
+            if scenario_count is not None and (scenario_count < 2 or k > scenario_count):
+                raise ParameterError(
+                    f"block {b.name!r}: k={k} needs at least {max(k, 2)} scenarios, "
+                    f"got {scenario_count}"
+                )
             pca_blocks.append(PcaBlock(b.name, tuple(index[f] for f in b.factors), int(k)))
         return PcaBlockSpec(tuple(pca_blocks))
 

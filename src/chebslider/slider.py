@@ -240,14 +240,14 @@ def eval_slider(s: Slider, x, clamp_counter: ClampCounter | None = None) -> floa
 
 
 def eval_slider_many(s: Slider, xs, clamp_counter: ClampCounter | None = None) -> np.ndarray:
-    """Evaluate the slider at each row of xs."""
+    """Evaluate the slider at each row of xs, summing in eval_slider's order."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != s.ndim:
         raise ArgumentError(f"expected points of shape (s, {s.ndim}), got {xs.shape}")
     v = s.pivot_value
-    out = np.full(xs.shape[0], v * (1 - len(s.slides)))
+    out = np.full(xs.shape[0], v)
     for slide in s.slides:
-        out += eval_tensor_many(slide.tensor, xs[:, list(slide.coord_indices)], clamp_counter)
+        out += eval_tensor_many(slide.tensor, xs[:, list(slide.coord_indices)], clamp_counter) - v
     return out
 
 

@@ -22,7 +22,7 @@ from chebslider import (
     eval_barycentric,
     eval_barycentric_many,
 )
-from chebslider.cheb1d import chebyshev_points_centered
+from chebslider.cheb1d import barycentric_basis, chebyshev_points_centered
 
 from .oracles import lagrange_eval
 
@@ -164,6 +164,19 @@ class TestBarycentricEval:
         xs = np.concatenate([g.nodes, [0.123]])
         out = eval_barycentric_many(p, xs)
         assert np.array_equal(out[:7], vals)
+
+    def test_basis_rows_interpolate_and_snap_at_nodes(self):
+        g = chebyshev_points(6, UNIT)  # the middle node is exactly 0.0
+        vals = np.random.default_rng(3).standard_normal(7)
+        xs = np.concatenate([g.nodes, [np.nextafter(0.0, 1.0), -0.3, 0.77]])
+        basis = barycentric_basis(g.nodes, g.weights, xs)
+        assert basis.shape == (10, 7)
+        assert np.array_equal(basis[:7], np.eye(7))
+        # 1/(x - 0.0) overflows next to the zero node: one-hot there
+        assert np.array_equal(basis[7], np.eye(7)[3])
+        assert np.allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        p = ChebyshevInterpolant1D(grid=g, values=vals)
+        assert np.allclose(basis @ vals, eval_barycentric_many(p, xs), rtol=1e-14, atol=1e-14)
 
     def test_polynomial_reproduction_relative_1e12(self):
         rng = np.random.default_rng(10)

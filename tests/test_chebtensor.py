@@ -1,9 +1,11 @@
-"""Multi-dimensional Chebyshev meshes and recursive evaluation."""
+"""Multi-dimensional Chebyshev meshes, scalar collapse and batch contraction."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chebslider.chebtensor as chebtensor
 from chebslider import (
@@ -94,6 +96,25 @@ class TestBuildTensor:
             build_tensor(f, mesh)
 
 
+def _domain(data):
+    # A symmetric domain with an odd point count has a node at exactly 0.0,
+    # whose nextafter neighbours overflow 1/(x - node).
+    if data.draw(st.booleans(), label="symmetric"):
+        half = data.draw(st.floats(0.01, 100.0), label="half")
+        return Domain1D(-half, half)
+    lo = data.draw(st.floats(-100.0, 100.0), label="lo")
+    return Domain1D(lo, lo + data.draw(st.floats(0.01, 100.0), label="width"))
+
+
+def _coordinate(grid, kind, j, u):
+    node = float(grid.nodes[j % grid.size])
+    if kind == "box":  # u outside [0, 1] lands outside the domain
+        return grid.domain.lo + u * grid.domain.width
+    if kind == "node":
+        return node
+    return float(np.nextafter(node, -math.inf if kind == "below" else math.inf))
+
+
 class TestEvalTensor:
     def test_bilinear_product(self):
         mesh = build_mesh(UNIT2, [3, 3])
@@ -159,13 +180,50 @@ class TestEvalTensor:
             assert abs(a - b) <= 1e-11 * (1 + abs(a))
 
     def test_eval_many_matches_scalar(self):
-        mesh = build_mesh(UNIT2, [5, 4])
-        t = build_tensor(lambda v: math.sin(v[0]) * math.cos(v[1]), mesh)
         rng = np.random.default_rng(11)
-        xs = rng.uniform(-1, 1, size=(40, 2))
-        batch = eval_tensor_many(t, xs)
-        scalar = np.array([eval_tensor(t, row) for row in xs])
-        assert np.allclose(batch, scalar, rtol=1e-13, atol=1e-13)
+        for shape in [(5, 4), (1, 6), (3, 4, 2), (6, 1, 5), (2, 3, 2, 3)]:
+            box = HyperRectangle(tuple(Domain1D(-1.0 - i, 2.0 + i) for i in range(len(shape))))
+            mesh = build_mesh(box, list(shape))
+            t = build_tensor(lambda v: math.sin(v[0]) * math.cos(v[-1]) + v[1] ** 2, mesh)
+            # a quarter of the coordinates fall outside the box
+            xs = np.array([[rng.uniform(d.lo - 0.25 * d.width, d.hi + 0.25 * d.width)
+                            for d in box.dims] for _ in range(40)])
+            batch_clamps, scalar_clamps = ClampCounter(), ClampCounter()
+            batch = eval_tensor_many(t, xs, batch_clamps)
+            scalar = np.array([eval_tensor(t, row, scalar_clamps) for row in xs])
+            assert np.allclose(batch, scalar, rtol=1e-13, atol=1e-13), shape
+            assert batch_clamps.count == scalar_clamps.count > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property_batch_matches_scalar(self, data):
+        d = data.draw(st.integers(2, 4), label="d")
+        shape = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d), label="shape")
+        mesh = build_mesh(HyperRectangle(tuple(_domain(data) for _ in shape)), shape)
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e6]), label="scale")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        values = np.random.default_rng(seed).standard_normal(shape) * scale
+        t = chebtensor.ChebyshevTensor(mesh=mesh, values=values)
+        coordinate = st.tuples(
+            st.sampled_from(["box", "node", "below", "above"]),
+            st.integers(0, 5),
+            st.floats(-0.5, 1.5),
+        )
+        rows = data.draw(
+            st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=20),
+            label="rows",
+        )
+        xs = np.array([[_coordinate(g, *c) for g, c in zip(mesh.grids, row)] for row in rows])
+        batch_clamps, scalar_clamps = ClampCounter(), ClampCounter()
+        batch = eval_tensor_many(t, xs, batch_clamps)
+        scalar = np.array([eval_tensor(t, row, scalar_clamps) for row in xs])
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+        assert np.max(np.abs(batch - scalar)) <= tol
+        assert batch_clamps.count == scalar_clamps.count
+        # points whose coordinates are all mesh nodes return the stored values bit for bit
+        idx = np.array([[data.draw(st.integers(0, m - 1)) for m in shape] for _ in range(5)])
+        nodes = np.array([[g.nodes[j] for g, j in zip(mesh.grids, row)] for row in idx])
+        assert np.array_equal(eval_tensor_many(t, nodes), values[tuple(idx.T)])
 
     def test_clamping_inherited_per_dimension(self):
         mesh = build_mesh(UNIT2, [4, 4])
@@ -216,3 +274,18 @@ class TestEvalCallCount:
         t = build_tensor(lambda v: float(np.sum(v)), mesh)
         eval_tensor(t, [0.1] * len(dims))
         assert calls["n"] == eval_call_count(dims)
+
+    def test_batch_eval_makes_no_scalar_calls(self, monkeypatch):
+        calls = {"n": 0}
+        real = chebtensor.barycentric_eval
+
+        def counting(nodes, weights, values, x):
+            calls["n"] += 1
+            return real(nodes, weights, values, x)
+
+        monkeypatch.setattr(chebtensor, "barycentric_eval", counting)
+        mesh = build_mesh(UNIT3, [5, 5, 5])
+        t = build_tensor(lambda v: float(np.sum(v)), mesh)
+        xs = np.random.default_rng(2).uniform(-1.2, 1.2, size=(1000, 3))
+        assert np.allclose(eval_tensor_many(t, xs), np.clip(xs, -1, 1).sum(axis=1), atol=1e-13)
+        assert calls["n"] == 0

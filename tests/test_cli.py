@@ -212,6 +212,20 @@ def _run_quietly(argv):
     return code, err.getvalue()
 
 
+@pytest.fixture
+def pricer_calls(monkeypatch):
+    """Counts ShockedPortfolioPricer valuations made during the test."""
+    calls = {"n": 0}
+    call = ShockedPortfolioPricer.__call__
+
+    def counted(self, shock):
+        calls["n"] += 1
+        return call(self, shock)
+
+    monkeypatch.setattr(ShockedPortfolioPricer, "__call__", counted)
+    return calls
+
+
 def _one_json_error(stderr):
     assert "Traceback" not in stderr
     lines = stderr.splitlines()
@@ -303,22 +317,85 @@ class TestMalformedInputs:
         ids=["run-alpha", "run-tuple", "run-dims", "backtest-dims", "backtest-window",
              "sweep-alpha"],
     )
-    def test_bad_option_exits_2_before_any_pricer_call(self, tmp_path, monkeypatch, argv):
-        calls = {"n": 0}
-        call = ShockedPortfolioPricer.__call__
-
-        def counted(self, shock):
-            calls["n"] += 1
-            return call(self, shock)
-
-        monkeypatch.setattr(ShockedPortfolioPricer, "__call__", counted)
+    def test_bad_option_exits_2_before_any_pricer_call(self, tmp_path, pricer_calls, argv):
         code, err = _run_quietly(
             [argv[0], "--synthetic", "swaptions", "--scenario-count", "300",
              *(a.format(tmp=tmp_path) for a in argv[1:])]
         )
         assert code == 2
         _one_json_error(err)
-        assert calls["n"] == 0
+        assert pricer_calls["n"] == 0
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("trade without notional", "portfolio.json, trade 0: missing key 'notional'"),
+            ("text notional",
+             "portfolio.json, trade 0: could not convert string to float: 'ten'"),
+            ("curve without tenors", "market.json, curve 'forecast': missing key 'tenors'"),
+            ("unknown trade type", "portfolio.json, trade 1: unknown trade type 'bond'"),
+        ],
+    )
+    def test_malformed_book_exits_2_before_any_pricer_call(
+        self, swaptions_files, tmp_path, pricer_calls, case, message
+    ):
+        portfolio = json.loads((swaptions_files / "portfolio.json").read_text())
+        market = json.loads((swaptions_files / "market.json").read_text())
+        if case == "trade without notional":
+            del portfolio["trades"][0]["underlying"]["notional"]
+        elif case == "text notional":
+            portfolio["trades"][0]["underlying"]["notional"] = "ten"
+        elif case == "curve without tenors":
+            del market["curves"]["forecast"]["tenors"]
+        else:
+            portfolio["trades"][1]["type"] = "bond"
+        (tmp_path / "portfolio.json").write_text(json.dumps(portfolio))
+        (tmp_path / "market.json").write_text(json.dumps(market))
+        argv = _file_run_argv(swaptions_files, tmp_path / "o")
+        argv[argv.index("--portfolio") + 1] = str(tmp_path / "portfolio.json")
+        argv[argv.index("--market") + 1] = str(tmp_path / "market.json")
+        code, err = _run_quietly(argv)
+        assert code == 2
+        assert _one_json_error(err)["message"].endswith(message)
+        assert pricer_calls["n"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--pca-dims", "3", "--out", "{tmp}/o"],
+            ["backtest", "--pca-dims", "3", "--window", "2", "--out", "{tmp}/r.csv"],
+        ],
+        ids=["run", "backtest"],
+    )
+    def test_pca_dims_above_scenario_count_exit_2_before_any_pricer_call(
+        self, tmp_path, pricer_calls, argv
+    ):
+        code, err = _run_quietly(
+            [argv[0], "--synthetic", "swaps", "--scenario-count", "2",
+             *(a.format(tmp=tmp_path) for a in argv[1:])]
+        )
+        assert code == 2
+        assert _one_json_error(err)["message"] == (
+            "block 'rates': k=3 needs at least 3 scenarios, got 2"
+        )
+        assert pricer_calls["n"] == 0
+
+    def test_sweep_cells_with_pca_dims_above_scenario_count_are_error_rows(
+        self, tmp_path, pricer_calls
+    ):
+        out = tmp_path / "s.csv"
+        code, _ = _run_quietly(
+            ["sweep", "--synthetic", "swaps", "--scenario-count", "2", "--dims", "3,10",
+             "--tuples", "1x*", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == [
+            f"ParameterError: block 'rates': k={k} needs at least {k} scenarios, got 2"
+            for k in (3, 10)
+        ]
+        assert pricer_calls["n"] == 0
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -190,6 +190,22 @@ class TestEvalSlider:
         scalar = np.array([eval_slider(s, p) for p in pts])
         assert np.allclose(batch, scalar, rtol=1e-13, atol=1e-13)
 
+    def test_eval_many_matches_scalar_with_3d_slide(self):
+        def f(v):
+            return float(np.exp(0.3 * v[0] - 0.2 * v[1]) * np.cos(v[2]) + v[3] * v[4] + v[0] * v[4])
+
+        box = HyperRectangle(tuple(Domain1D(-1.0, 1.5) for _ in range(5)))
+        pivot = np.array([0.1, -0.2, 0.3, 0.0, 0.7])
+        s = build_slider(f, box, pivot, SliderConfig(parse_slider_tuple("3,1x*", 5), 5))
+        rng = np.random.default_rng(9)
+        pts = np.vstack([pivot, rng.uniform(-1.5, 2.0, size=(200, 5))])
+        batch_clamps, scalar_clamps = ClampCounter(), ClampCounter()
+        batch = eval_slider_many(s, pts, batch_clamps)
+        scalar = np.array([eval_slider(s, p, scalar_clamps) for p in pts])
+        assert np.max(np.abs(batch - scalar)) <= 1e-12 * max(1.0, np.max(np.abs(scalar)))
+        assert batch_clamps.count == scalar_clamps.count > 0
+        assert batch[0] == scalar[0] == s.pivot_value
+
     def test_clamping_counted(self):
         f = lambda v: float(v[0] + v[1])
         s = build_slider(f, unit_box(2), np.zeros(2), SliderConfig((1, 1), 5))
