@@ -54,7 +54,6 @@ from .orthopca import (
     save_orthogonal_slider,
 )
 from .pricers import (
-    InstrumentedPricer,
     Market,
     ShockedPortfolioPricer,
     SwapTrade,
@@ -99,7 +98,6 @@ from .slider import (
     load_slider,
     parse_slider_tuple,
     save_slider,
-    slider_call_count,
 )
 
 __version__ = "0.1.0"

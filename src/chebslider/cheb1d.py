@@ -75,9 +75,6 @@ class ClampCounter:
     def record(self, n: int = 1) -> None:
         self.count += n
 
-    def __bool__(self) -> bool:
-        return self.count > 0
-
 
 def _sign_weights(n: int) -> np.ndarray:
     # Barycentric weights for Chebyshev extreme points, up to a common factor
@@ -166,19 +163,6 @@ class ChebyshevInterpolant1D:
                 f"got {len(self.values)} values for a grid of {self.grid.size} nodes"
             )
 
-    def _scalar_view(self):
-        # Python-float tuples for the scalar hot path; built once per
-        # interpolant (idempotent, so the unsynchronized write is benign).
-        view = getattr(self, "_view", None)
-        if view is None:
-            view = (
-                tuple(map(float, self.grid.nodes)),
-                tuple(map(float, self.grid.weights)),
-                tuple(map(float, self.values)),
-            )
-            object.__setattr__(self, "_view", view)
-        return view
-
 
 def build_interpolant(f, grid: ChebyshevGrid) -> ChebyshevInterpolant1D:
     """Sample f once per node (exactly grid.size calls)."""
@@ -195,18 +179,22 @@ def build_interpolant(f, grid: ChebyshevGrid) -> ChebyshevInterpolant1D:
 def barycentric_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, x: float) -> float:
     """Barycentric formula at a scalar x; an exact node hit returns the stored value.
 
-    If x sits so close to a node that 1/(x - node) overflows, the nearest
-    node's value is returned (an overflow guard, not an accuracy window).
+    The scalar reference rule, a plain loop over Python floats. If x sits so
+    close to a node that 1/(x - node) overflows, the result is not finite
+    and the nearest node's value is returned (an overflow guard, not an
+    accuracy window), as in barycentric_eval_many.
     """
-    diff = x - nodes
-    hit = np.nonzero(diff == 0.0)[0]
-    if hit.size:
-        return float(values[hit[0]])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = weights / diff
-        out = float((w @ values) / w.sum())
+    num = den = 0.0
+    for xi, wi, vi in zip(nodes.tolist(), weights.tolist(), values.tolist()):
+        d = x - xi
+        if d == 0.0:
+            return vi
+        q = wi / d
+        num += q * vi
+        den += q
+    out = num / den if den else math.nan
     if not math.isfinite(out):
-        return float(values[np.argmin(np.abs(diff))])
+        return float(values[np.argmin(np.abs(x - nodes))])
     return out
 
 
@@ -274,21 +262,7 @@ def eval_barycentric(
     ClampCounter to observe how often that happened.
     """
     x = _clamp_coordinate(float(x), p.grid.domain, clamp_counter)
-    nodes, weights, values = p._scalar_view()
-    num = 0.0
-    den = 0.0
-    for xi, wi, vi in zip(nodes, weights, values):
-        d = x - xi
-        if d == 0.0:
-            return vi
-        q = wi / d
-        num += q * vi
-        den += q
-    out = num / den
-    if not math.isfinite(out):
-        # 1/(x - node) overflowed: x is within ~1e-300 of a node.
-        return barycentric_eval(p.grid.nodes, p.grid.weights, p.values, x)
-    return out
+    return barycentric_eval(p.grid.nodes, p.grid.weights, p.values, x)
 
 
 def eval_barycentric_many(

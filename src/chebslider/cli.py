@@ -49,7 +49,7 @@ _USAGE_ERRORS = (
     DomainError,
     UnknownFactorError,
     MissingCurveError,
-    FileNotFoundError,
+    OSError,
     json.JSONDecodeError,
 )
 
@@ -190,6 +190,15 @@ def _load_inputs(args) -> _Inputs:
     return _Inputs(pricer, scen, np.zeros(len(names)), layout, source)
 
 
+def _output_path(path, directory: bool = False) -> Path:
+    """Create the directory an output goes to, so an unusable path fails before pricing."""
+    path = Path(path)
+    (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
+    if not directory and path.is_dir():
+        raise ConfigurationError(f"output path {path} is a directory")
+    return path
+
+
 def _pca_spec(args, inputs: _Inputs) -> PcaBlockSpec:
     dims = _parse_dims(args.pca_dims) if args.pca_dims else None
     return inputs.layout.pca_spec(dims, inputs.scenarios.count)
@@ -225,6 +234,9 @@ def cmd_run(args) -> int:
     inputs = _load_inputs(args)
     spec = _pca_spec(args, inputs)
     config = _slider_config(args, args.slider_tuple, spec)
+    out = _output_path(args.out, directory=True)
+    if args.save_slider:
+        _output_path(args.save_slider)
     result = run_es_analysis(
         inputs.pricer,
         inputs.scenarios,
@@ -235,8 +247,6 @@ def cmd_run(args) -> int:
         horizons=_horizon_map(args, inputs),
         diagnostic=args.diagnostic,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(_report_doc(inputs, result, spec, config, args), fh, indent=2)
         fh.write("\n")
@@ -291,6 +301,7 @@ def cmd_sweep(args) -> int:
                 cells.append((cell, spec, _slider_config(args, pattern, spec)))
             except ChebSliderError as exc:
                 cells.append(({**cell, "error": f"{type(exc).__name__}: {exc}"}, None, None))
+    out = _output_path(args.out)
     # Every cell prices the same scenarios, so brute force runs once; if it
     # fails, each cell records the failure.
     brute, brute_error = None, ""
@@ -339,9 +350,6 @@ def cmd_sweep(args) -> int:
                     "error": "",
                 }
             )
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
@@ -356,20 +364,20 @@ def cmd_backtest(args) -> int:
     if not 1 <= args.window <= inputs.scenarios.count:
         raise ConfigurationError(f"window must be in 1..{inputs.scenarios.count}, got {args.window}")
     spec = _pca_spec(args, inputs)
+    config = _slider_config(args, args.slider_tuple, spec)
+    out = _output_path(args.out)
+    meta_path = _output_path(out.with_suffix(out.suffix + ".meta.json"))
     result = run_es_analysis(
         inputs.pricer,
         inputs.scenarios,
         inputs.base_shock,
         spec,
-        _slider_config(args, args.slider_tuple, spec),
+        config,
         alpha=args.alpha,
         horizons={"10d": None},
     )
     series = result.pnl["10d"]
     ratios = rolling_ratio_backtest(series["brute"], series["slider"], args.window)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     labels = result.labels["10d"]
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -395,7 +403,7 @@ def cmd_backtest(args) -> int:
         "hypothetical": "brute",
         "risk_theoretical": "slider",
     }
-    with open(out.with_suffix(out.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
+    with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
     print(f"wrote {len(ratios)} windows to {out}")
@@ -404,8 +412,7 @@ def cmd_backtest(args) -> int:
 
 def cmd_demo(args) -> int:
     setup = demo_by_name(args.which, args.scenario_count)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args.out, directory=True)
     save_market(setup.market, out / "market.json")
     save_portfolio(list(setup.portfolio), out / "portfolio.json")
     scen = generate_synthetic_history(setup.synthetic, args.seed)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .orthopca import PcaBlockSpec
 from .pricers import (
     Market,
     SwapTrade,
@@ -21,7 +20,7 @@ from .pricers import (
     ZeroCurve,
     market_risk_factors,
 )
-from .riskengine import BlockLayout, SyntheticBlock, SyntheticSpec
+from .riskengine import SyntheticBlock, SyntheticSpec
 
 __all__ = ["DemoSetup", "swaps_demo", "swaptions_demo", "demo_by_name"]
 
@@ -69,10 +68,6 @@ class DemoSetup:
     def factor_names(self) -> tuple[str, ...]:
         return self.synthetic.factor_names
 
-    def base_shock(self) -> np.ndarray:
-        # Today's scenario: the zero shock.
-        return np.zeros(len(self.factor_names))
-
     def blocks_doc(self) -> dict:
         """The blocks document `chebslider demo` writes: one block per synthetic block."""
         blocks = [
@@ -80,16 +75,6 @@ class DemoSetup:
             for b, k in zip(self.synthetic.blocks, self.default_pca_dims)
         ]
         return {"version": 1, "blocks": blocks}
-
-    def layout(self) -> BlockLayout:
-        return BlockLayout.from_doc(self.blocks_doc(), self.factor_names, f"{self.name} demo")
-
-    def block_spec(self, pca_dims=None) -> PcaBlockSpec:
-        return self.layout().pca_spec(pca_dims)
-
-    def horizon_map(self, horizons=None) -> dict[str, tuple[str, ...] | None]:
-        """Horizon tag -> shocked factor names (None = all factors)."""
-        return self.layout().horizon_map(horizons)
 
 
 def _demo_curves() -> dict[str, ZeroCurve]:

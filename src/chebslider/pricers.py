@@ -4,7 +4,7 @@ These stand in for Front Office pricers. Curves interpolate log discount
 factors linearly in time (flat zero rate before the first tenor, constant
 forward past the last); the vol surface interpolates bilinearly with flat
 extrapolation. A ShockedPortfolioPricer maps an additive shock vector to the
-portfolio value and counts every valuation.
+portfolio value and counts every valuation of the book in call_count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "SwapTrade",
     "SwaptionTrade",
     "RiskFactor",
-    "InstrumentedPricer",
     "ShockedPortfolioPricer",
     "price_swap",
     "price_swaption_black",
@@ -322,21 +321,6 @@ def market_risk_factors(market: Market) -> list[RiskFactor]:
     return factors
 
 
-class InstrumentedPricer:
-    """Wraps any shock->value callable, counting calls."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.call_count = 0
-
-    def __call__(self, x) -> float:
-        self.call_count += 1
-        return self.fn(x)
-
-    def reset(self) -> None:
-        self.call_count = 0
-
-
 def _log_discount_weights(curve: ZeroCurve, t: np.ndarray) -> np.ndarray:
     """W with curve.log_discount(t) == W @ curve.zero_rates, one row per time.
 
@@ -474,8 +458,8 @@ class ShockedPortfolioPricer:
     """Portfolio value as a function of an additive shock vector.
 
     Rate shocks add to zero rates, vol shocks add to surface vols (floored at
-    VOL_FLOOR; floor events are counted, not raised). Each call increments
-    call_count by one and trade_call_count by the number of trades.
+    VOL_FLOOR; floor events are counted, not raised). Each call values the
+    whole book once and increments call_count by one.
 
     The first call compiles the portfolio and market into matrices
     (_CompiledBook), so later calls value the whole book with a few numpy
@@ -483,12 +467,11 @@ class ShockedPortfolioPricer:
     compiled book is tested against.
     """
 
-    def __init__(self, portfolio, market: Market, factors: list[RiskFactor] | None = None):
+    def __init__(self, portfolio, market: Market):
         self.portfolio = list(portfolio)
         self.market = market
-        self.factors = list(factors) if factors is not None else market_risk_factors(market)
+        self.factors = market_risk_factors(market)
         self.call_count = 0
-        self.trade_call_count = 0
         self.floored_vol_count = 0
         self._book: _CompiledBook | None = None
         self._rate_slices: dict[str, list[tuple[int, int]]] = {}
@@ -553,13 +536,11 @@ class ShockedPortfolioPricer:
             self._book = _CompiledBook(self)
         total, floored = self._book.value(shock)
         self.call_count += 1
-        self.trade_call_count += len(self.portfolio)
         self.floored_vol_count += floored
         return total
 
     def reset_counters(self) -> None:
         self.call_count = 0
-        self.trade_call_count = 0
         self.floored_vol_count = 0
 
 
@@ -637,13 +618,19 @@ def _swap_to_dict(t: SwapTrade) -> dict:
     }
 
 
+def _flag(d: dict, key: str) -> bool:
+    if not isinstance(d[key], bool):
+        raise TypeError(f"{key!r} must be true or false, got {d[key]!r}")
+    return d[key]
+
+
 def _swap_from_dict(d: dict) -> SwapTrade:
     return SwapTrade(
         notional=float(d["notional"]),
         fixed_rate=float(d["fixed_rate"]),
         maturity=float(d["maturity"]),
         frequency=float(d["frequency"]),
-        payer=bool(d["payer"]),
+        payer=_flag(d, "payer"),
         discount_curve=d.get("discount_curve", "discount"),
         forecast_curve=d.get("forecast_curve", "forecast"),
         start=float(d.get("start", 0.0)),
@@ -676,7 +663,7 @@ def _trade_from_dict(d: dict):
         return SwaptionTrade(
             expiry=float(d["expiry"]),
             strike=float(d["strike"]),
-            payer=bool(d["payer"]),
+            payer=_flag(d, "payer"),
             underlying=_swap_from_dict(d["underlying"]),
         )
     raise ConfigurationError(f"unknown trade type {d['type']!r}")

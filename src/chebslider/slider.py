@@ -37,7 +37,6 @@ __all__ = [
     "build_slider",
     "eval_slider",
     "eval_slider_many",
-    "slider_call_count",
     "parse_slider_tuple",
     "slider_to_dict",
     "slider_from_dict",
@@ -92,9 +91,6 @@ class SliderConfig:
         if isinstance(self.points_per_dim, tuple):
             return self.points_per_dim[i]
         return int(self.points_per_dim)
-
-    def as_tuple_string(self) -> str:
-        return "{" + ",".join(str(d) for d in self.slide_dims) + "}"
 
 
 @dataclass(frozen=True)
@@ -249,11 +245,6 @@ def eval_slider_many(s: Slider, xs, clamp_counter: ClampCounter | None = None) -
     for slide in s.slides:
         out += eval_tensor_many(slide.tensor, xs[:, list(slide.coord_indices)], clamp_counter) - v
     return out
-
-
-def slider_call_count(s: Slider) -> int:
-    """Pricer calls spent building the slider (pivot plus all slide meshes)."""
-    return s.build_call_count
 
 
 def slider_to_dict(s: Slider) -> dict:

@@ -2,6 +2,7 @@
 
 Deliberately naive: direct product/sum formulas, subset enumeration and
 quadrature. Nothing here shares code with the library's evaluation paths.
+InstrumentedPricer counts the calls a test function receives.
 """
 
 from __future__ import annotations
@@ -10,6 +11,18 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+
+class InstrumentedPricer:
+    """Wraps any shock -> value callable, counting calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.call_count = 0
+
+    def __call__(self, x) -> float:
+        self.call_count += 1
+        return self.fn(x)
 
 
 def lagrange_eval(nodes, values, x: float) -> float:

@@ -17,7 +17,6 @@ from chebslider import (
     ChebyshevInterpolant1D,
     Domain1D,
     HyperRectangle,
-    InstrumentedPricer,
     SliderConfig,
     build_interpolant,
     build_mesh,
@@ -42,8 +41,9 @@ from chebslider import (
 )
 from chebslider.cli import main as cli_main
 from chebslider.demo import swaps_demo, swaptions_demo
+from chebslider.riskengine import BlockLayout
 
-from .oracles import es_exhaustive, lagrange_eval, tensor_lagrange_eval
+from .oracles import InstrumentedPricer, es_exhaustive, lagrange_eval, tensor_lagrange_eval
 
 SEED = 42
 
@@ -58,10 +58,11 @@ def swaps_run():
     demo = swaps_demo()
     scen = generate_synthetic_history(demo.synthetic, SEED)
     pricer = shocked_pricer(list(demo.portfolio), demo.market)
+    layout = BlockLayout.from_doc(demo.blocks_doc(), demo.factor_names)
     t0 = time.perf_counter()
     result = run_es_analysis(
-        pricer, scen, demo.base_shock(), demo.block_spec((3,)),
-        SliderConfig((1, 1, 1), 5), alpha=0.975, horizons=demo.horizon_map(),
+        pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
+        SliderConfig((1, 1, 1), 5), alpha=0.975, horizons=layout.horizon_map(),
     )
     wall = time.perf_counter() - t0
     return demo, scen, pricer, result, wall
@@ -71,14 +72,15 @@ def swaps_run():
 def swaptions_runs():
     demo = swaptions_demo()
     scen = generate_synthetic_history(demo.synthetic, SEED)
+    layout = BlockLayout.from_doc(demo.blocks_doc(), demo.factor_names)
     out = {}
     t0 = time.perf_counter()
     for dims in ((10, 10), (5, 5)):
         pricer = shocked_pricer(list(demo.portfolio), demo.market)
         result = run_es_analysis(
-            pricer, scen, demo.base_shock(), demo.block_spec(dims),
+            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec(dims),
             SliderConfig((1,) * sum(dims), 5), alpha=0.975,
-            horizons=demo.horizon_map(("10d", "60d")),
+            horizons=layout.horizon_map(("10d", "60d")),
         )
         out[sum(dims)] = (pricer, result)
     wall = time.perf_counter() - t0

@@ -313,11 +313,17 @@ class TestMalformedInputs:
             ["backtest", "--window", "301", "--out", "{tmp}/r.csv"],
             ["sweep", "--alpha", "1.5", "--dims", "4,20", "--tuples", "1x*;2,1x*",
              "--out", "{tmp}/s.csv"],
+            # afile is a regular file, so no output can go below it
+            ["run", "--out", "{tmp}/afile/sub"],
+            ["run", "--out", "{tmp}/o", "--save-slider", "{tmp}/afile/s.json"],
+            ["sweep", "--dims", "20", "--out", "{tmp}/afile/s.csv"],
+            ["backtest", "--out", "{tmp}/afile/r.csv"],
         ],
         ids=["run-alpha", "run-tuple", "run-dims", "backtest-dims", "backtest-window",
-             "sweep-alpha"],
+             "sweep-alpha", "run-out", "run-save-slider", "sweep-out", "backtest-out"],
     )
     def test_bad_option_exits_2_before_any_pricer_call(self, tmp_path, pricer_calls, argv):
+        (tmp_path / "afile").write_text("")
         code, err = _run_quietly(
             [argv[0], "--synthetic", "swaptions", "--scenario-count", "300",
              *(a.format(tmp=tmp_path) for a in argv[1:])]
@@ -334,6 +340,8 @@ class TestMalformedInputs:
              "portfolio.json, trade 0: could not convert string to float: 'ten'"),
             ("curve without tenors", "market.json, curve 'forecast': missing key 'tenors'"),
             ("unknown trade type", "portfolio.json, trade 1: unknown trade type 'bond'"),
+            ("text payer", "portfolio.json, trade 0: 'payer' must be true or false, got 'false'"),
+            ("integer payer", "portfolio.json, trade 1: 'payer' must be true or false, got 1"),
         ],
     )
     def test_malformed_book_exits_2_before_any_pricer_call(
@@ -347,6 +355,10 @@ class TestMalformedInputs:
             portfolio["trades"][0]["underlying"]["notional"] = "ten"
         elif case == "curve without tenors":
             del market["curves"]["forecast"]["tenors"]
+        elif case == "text payer":
+            portfolio["trades"][0]["payer"] = "false"
+        elif case == "integer payer":
+            portfolio["trades"][1]["underlying"]["payer"] = 1
         else:
             portfolio["trades"][1]["type"] = "bond"
         (tmp_path / "portfolio.json").write_text(json.dumps(portfolio))

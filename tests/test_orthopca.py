@@ -10,7 +10,6 @@ from chebslider import (
     ArgumentError,
     ClampCounter,
     ConfigurationError,
-    InstrumentedPricer,
     OrthogonalSlider,
     ParameterError,
     PcaBlock,
@@ -26,6 +25,8 @@ from chebslider import (
     reconstruct_through,
     save_orthogonal_slider,
 )
+
+from .oracles import InstrumentedPricer
 
 
 class TestFitPca:

@@ -12,7 +12,6 @@ from chebslider import (
     ArgumentError,
     ConfigurationError,
     Domain1D,
-    InstrumentedPricer,
     Market,
     MissingCurveError,
     ModelDomainError,
@@ -277,7 +276,6 @@ class TestShockedPricer:
         for _ in range(s):
             pricer(np.zeros(pricer.n_factors))
         assert pricer.call_count == s
-        assert pricer.trade_call_count == s * len(demo.portfolio)
 
     def test_rate_shock_moves_only_rates(self):
         demo = swaptions_demo()
@@ -370,7 +368,6 @@ class TestCompiledBook:
         assert abs(got - want) <= 1e-12 * gross
         assert pricer.floored_vol_count == floored
         assert pricer.call_count == 1
-        assert pricer.trade_call_count == len(demo.portfolio)
 
     @given(arrays(float, 20, elements=st.floats(-0.04, 0.04)))
     @settings(max_examples=60, deadline=None)
@@ -455,16 +452,6 @@ class TestCompiledBook:
         shock[20] = -1.0
         assert pricer(shock) == 0.0
         assert pricer.floored_vol_count == 1
-
-
-class TestInstrumentedPricer:
-    def test_counts_every_call(self):
-        f = InstrumentedPricer(lambda x: 1.0)
-        for _ in range(5):
-            f(np.zeros(2))
-        assert f.call_count == 5
-        f.reset()
-        assert f.call_count == 0
 
 
 class TestMarketPortfolioFiles:

@@ -10,7 +10,6 @@ from scipy import stats
 
 from chebslider import (
     ArgumentError,
-    InstrumentedPricer,
     ParameterError,
     PnlDistribution,
     ScenarioSet,
@@ -37,7 +36,7 @@ from chebslider.demo import swaps_demo, swaptions_demo
 from chebslider.errors import ConfigurationError
 from chebslider.riskengine import BlockLayout, kolmogorov_sf, read_scenarios, write_scenarios
 
-from .oracles import es_exhaustive, kolmogorov_sf_theta
+from .oracles import InstrumentedPricer, es_exhaustive, kolmogorov_sf_theta
 
 
 class TestExpectedShortfall:
@@ -386,13 +385,13 @@ class TestRunAnalysis:
         demo = swaps_demo(scenario_count=count)
         scen = generate_synthetic_history(demo.synthetic, seed)
         pricer = shocked_pricer(list(demo.portfolio), demo.market)
-        return demo, scen, pricer
+        return BlockLayout.from_doc(demo.blocks_doc(), demo.factor_names), scen, pricer
 
     def test_report_identity_and_accounting(self):
-        demo, scen, pricer = self._setup()
+        layout, scen, pricer = self._setup()
         res = run_es_analysis(
-            pricer, scen, demo.base_shock(), demo.block_spec((3,)),
-            SliderConfig((1, 1, 1), 5), horizons=demo.horizon_map(),
+            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
+            SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(),
         )
         r = res.reports["10d"]
         assert r.relative_error == pytest.approx(
@@ -404,10 +403,10 @@ class TestRunAnalysis:
         assert pricer.call_count == 1 + scen.count + 16
 
     def test_triangle_inequality_of_series(self):
-        demo, scen, pricer = self._setup(count=300)
+        layout, scen, pricer = self._setup(count=300)
         res = run_es_analysis(
-            pricer, scen, demo.base_shock(), demo.block_spec((3,)),
-            SliderConfig((1, 1, 1), 5), horizons=demo.horizon_map(), diagnostic=True,
+            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
+            SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(), diagnostic=True,
         )
         s = res.pnl["10d"]
         brute = s["brute"].values
@@ -418,34 +417,34 @@ class TestRunAnalysis:
         assert np.all(lhs <= rhs + 1e-9 * (1 + np.abs(brute)))
 
     def test_diagnostic_costs_full_brute_force(self):
-        demo, scen, pricer = self._setup(count=150)
+        layout, scen, pricer = self._setup(count=150)
         run_es_analysis(
-            pricer, scen, demo.base_shock(), demo.block_spec((3,)),
-            SliderConfig((1, 1, 1), 5), horizons=demo.horizon_map(), diagnostic=True,
+            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
+            SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(), diagnostic=True,
         )
         # base + brute + build + pca_reprice
         assert pricer.call_count == 1 + 150 + 16 + 150
 
     def test_shared_brute_pass_matches_separate_runs(self):
-        demo, scen, pricer = self._setup(count=200)
-        shared = brute_pnl(pricer, scen, demo.base_shock(), demo.horizon_map())
+        layout, scen, pricer = self._setup(count=200)
+        shared = brute_pnl(pricer, scen, np.zeros(pricer.n_factors), layout.horizon_map())
         assert pricer.call_count == 1 + scen.count
         for dims, slides in (((3,), (1, 1, 1)), ((2,), (2,))):
             cfg = SliderConfig(slides, 5)
             reused = run_es_analysis(
-                pricer, scen, demo.base_shock(), demo.block_spec(dims), cfg, brute=shared,
+                pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec(dims), cfg, brute=shared,
             )
             _, _, fresh_pricer = self._setup(count=200)
             fresh = run_es_analysis(
-                fresh_pricer, scen, demo.base_shock(), demo.block_spec(dims), cfg,
-                horizons=demo.horizon_map(),
+                fresh_pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec(dims), cfg,
+                horizons=layout.horizon_map(),
             )
             assert reused.reports == fresh.reports
         assert pricer.call_count == 1 + scen.count + 16 + 26
         with pytest.raises(ArgumentError):
             run_es_analysis(
-                pricer, scen, demo.base_shock(), demo.block_spec((3,)),
-                SliderConfig((1, 1, 1), 5), horizons=demo.horizon_map(), brute=shared,
+                pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
+                SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(), brute=shared,
             )
 
 
@@ -507,10 +506,11 @@ class TestBlockLayout:
 
     @pytest.mark.parametrize("demo", [swaps_demo(50), swaptions_demo(50)], ids=["swaps", "swaptions"])
     def test_demo_layout_is_its_blocks_doc(self, demo):
-        assert demo.block_spec() == demo.block_spec(demo.default_pca_dims)
-        assert [b.k for b in demo.block_spec().blocks] == list(demo.default_pca_dims)
+        layout = BlockLayout.from_doc(demo.blocks_doc(), demo.factor_names)
+        assert layout.pca_spec() == layout.pca_spec(demo.default_pca_dims)
+        assert [b.k for b in layout.pca_spec().blocks] == list(demo.default_pca_dims)
         horizons = tuple(dict.fromkeys(h for b in demo.synthetic.blocks for h in b.horizons))
-        assert tuple(demo.horizon_map()) == horizons
-        for h, shocked in demo.horizon_map().items():
+        assert tuple(layout.horizon_map()) == horizons
+        for h, shocked in layout.horizon_map().items():
             want = [n for b in demo.synthetic.blocks if h in b.horizons for n in b.factor_names]
             assert shocked is None if h == "10d" else list(shocked) == want
