@@ -71,7 +71,6 @@ from .pricers import (
 from .riskengine import (
     BrutePnl,
     EsReport,
-    PnlDistribution,
     RatioBacktestSeries,
     ScenarioSet,
     SyntheticBlock,

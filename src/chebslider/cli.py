@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +54,15 @@ _USAGE_ERRORS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, so that main reports them as JSON like any other."""
+
+    def error(self, message):
+        raise ArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebslider",
         description="Orthogonal Chebyshev Slider risk harness (brute force vs slider ES).",
     )
@@ -78,11 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "it); ignored by sweep")
         p.add_argument("--points", type=int, default=5, help="Chebyshev points per slide dimension")
         p.add_argument("--alpha", type=float, default=0.975, help="ES confidence level")
+
+    def add_horizons_arg(p):
         p.add_argument("--horizons", default=None,
                        help="comma-separated liquidity horizons (default: all defined)")
 
     run_p = sub.add_parser("run", help="one brute-vs-slider ES comparison")
     add_source_args(run_p)
+    add_horizons_arg(run_p)
     run_p.add_argument("--slider-tuple", default="1x*",
                        help="slide dimensions, e.g. '1,1,1', '1x20', '3,1x17' or '3,1x*'")
     run_p.add_argument("--diagnostic", action="store_true",
@@ -93,13 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="grid of PCA dims x slider tuples")
     add_source_args(sweep_p)
+    add_horizons_arg(sweep_p)
     sweep_p.add_argument("--dims", required=True,
                          help="comma-separated total PCA dims, e.g. '3,5,10,20'")
     sweep_p.add_argument("--tuples", default="1x*;2,1x*;3,1x*",
                          help="semicolon-separated slider tuple patterns")
     sweep_p.add_argument("--out", required=True, help="output CSV path")
 
-    back_p = sub.add_parser("backtest", help="rolling mean/variance ratio series")
+    back_p = sub.add_parser("backtest", help="rolling mean/variance ratio series (10d only)")
     add_source_args(back_p)
     back_p.add_argument("--slider-tuple", default="1x*")
     back_p.add_argument("--window", type=int, default=250, help="rolling window length")
@@ -226,7 +237,7 @@ def _report_doc(inputs, result, spec, config, args) -> dict:
         "scenario_count": inputs.scenarios.count,
         "base_value": result.base_value,
         "build_calls": result.build_calls,
-        "horizons": {h: r.to_dict() for h, r in result.reports.items()},
+        "horizons": {h: asdict(r) for h, r in result.reports.items()},
     }
 
 
@@ -237,14 +248,17 @@ def cmd_run(args) -> int:
     out = _output_path(args.out, directory=True)
     if args.save_slider:
         _output_path(args.save_slider)
+    brute = brute_pnl(
+        inputs.pricer, inputs.scenarios, inputs.base_shock, _horizon_map(args, inputs)
+    )
     result = run_es_analysis(
         inputs.pricer,
         inputs.scenarios,
         inputs.base_shock,
         spec,
         config,
+        brute,
         alpha=args.alpha,
-        horizons=_horizon_map(args, inputs),
         diagnostic=args.diagnostic,
     )
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -255,8 +269,8 @@ def cmd_run(args) -> int:
             writer = csv.writer(fh)
             sources = ["brute"] + (["pca_repriced"] if "pca_repriced" in series else []) + ["slider"]
             writer.writerow(["label", *sources])
-            columns = [series[s].values for s in sources]
-            for i, label in enumerate(result.labels[horizon]):
+            columns = [series[s] for s in sources]
+            for i, label in enumerate(inputs.scenarios.labels):
                 writer.writerow([label, *(repr(float(col[i])) for col in columns)])
     if args.save_slider:
         save_orthogonal_slider(result.slider, args.save_slider)
@@ -326,8 +340,8 @@ def cmd_sweep(args) -> int:
                 inputs.base_shock,
                 spec,
                 config,
+                brute,
                 alpha=args.alpha,
-                brute=brute,
             )
         except ChebSliderError as exc:
             rows.append({**cell, "error": f"{type(exc).__name__}: {exc}"})
@@ -367,18 +381,13 @@ def cmd_backtest(args) -> int:
     config = _slider_config(args, args.slider_tuple, spec)
     out = _output_path(args.out)
     meta_path = _output_path(out.with_suffix(out.suffix + ".meta.json"))
+    brute = brute_pnl(inputs.pricer, inputs.scenarios, inputs.base_shock)
     result = run_es_analysis(
-        inputs.pricer,
-        inputs.scenarios,
-        inputs.base_shock,
-        spec,
-        config,
-        alpha=args.alpha,
-        horizons={"10d": None},
+        inputs.pricer, inputs.scenarios, inputs.base_shock, spec, config, brute, alpha=args.alpha
     )
-    series = result.pnl["10d"]
+    series = result.pnl[inputs.scenarios.horizon]
     ratios = rolling_ratio_backtest(series["brute"], series["slider"], args.window)
-    labels = result.labels["10d"]
+    labels = inputs.scenarios.labels
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -425,8 +434,6 @@ def cmd_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "run": cmd_run,
         "sweep": cmd_sweep,
@@ -434,6 +441,7 @@ def main(argv=None) -> int:
         "demo": cmd_demo,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except _USAGE_ERRORS as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

@@ -18,7 +18,7 @@ class ParameterError(ChebSliderError, ValueError):
 
 
 class ArgumentError(ChebSliderError, ValueError):
-    """Invalid argument to an evaluation or a statistic."""
+    """Invalid argument to an evaluation, a statistic or the command line."""
 
 
 class SamplingError(ChebSliderError, ValueError):

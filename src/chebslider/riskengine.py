@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheb1d import ClampCounter
-from .errors import ArgumentError, ConfigurationError, ParameterError, UnknownFactorError
+from .errors import (
+    ArgumentError,
+    ConfigurationError,
+    ModelDomainError,
+    ParameterError,
+    UnknownFactorError,
+)
 from .orthopca import (
     OrthogonalSlider,
     PcaBlock,
@@ -29,7 +35,6 @@ from .slider import SliderConfig
 
 __all__ = [
     "ScenarioSet",
-    "PnlDistribution",
     "EsReport",
     "RatioBacktestSeries",
     "SyntheticBlock",
@@ -92,26 +97,6 @@ class ScenarioSet:
 
 
 @dataclass(frozen=True)
-class PnlDistribution:
-    """Per-scenario P&L (scenario value minus base value); losses negative."""
-
-    values: np.ndarray
-    source: str  # "brute" | "pca_repriced" | "slider"
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ArgumentError(f"P&L must be a non-empty vector, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ArgumentError("P&L values must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class EsReport:
     horizon: str
     es_brute: float
@@ -130,27 +115,6 @@ class EsReport:
     build_calls: int
     incremental_calls: int
     clamped_evaluations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "es_brute": self.es_brute,
-            "es_slider": self.es_slider,
-            "relative_error": self.relative_error,
-            "savings": self.savings,
-            "correlation": self.correlation,
-            "ks_statistic": self.ks_statistic,
-            "ks_p_value": self.ks_p_value,
-            "pca_dims": list(self.pca_dims),
-            "slider_tuple": list(self.slider_tuple),
-            "points_per_dim": self.points_per_dim,
-            "alpha": self.alpha,
-            "scenario_count": self.scenario_count,
-            "es_tail_size": self.es_tail_size,
-            "build_calls": self.build_calls,
-            "incremental_calls": self.incremental_calls,
-            "clamped_evaluations": self.clamped_evaluations,
-        }
 
 
 @dataclass(frozen=True)
@@ -176,44 +140,32 @@ class RatioBacktestSeries:
 class SyntheticBlock:
     """Gaussian shock block in an orthonormal cosine loading basis.
 
-    Give either an equicorrelation `corr` (variance spectrum
-    [1+(p-1)*corr, 1-corr, ..., 1-corr]) or an explicit `spectrum` of
-    per-component variances. `scale` multiplies the resulting shocks.
+    `spectrum` gives the leading per-component variances (the rest are
+    zero); `scale` multiplies the resulting shocks.
     """
 
     name: str
     factor_names: tuple[str, ...]
     scale: float
-    corr: float | None = None
-    spectrum: tuple[float, ...] | None = None
+    spectrum: tuple[float, ...]
     horizons: tuple[str, ...] = ("10d",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factor_names", tuple(self.factor_names))
         object.__setattr__(self, "horizons", tuple(self.horizons))
+        object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
         if not self.factor_names:
             raise ParameterError(f"block {self.name!r} has no factors")
-        if (self.corr is None) == (self.spectrum is None):
-            raise ParameterError(
-                f"block {self.name!r}: give exactly one of corr or spectrum"
-            )
-        if self.spectrum is not None:
-            object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
-            if len(self.spectrum) > len(self.factor_names):
-                raise ParameterError(f"block {self.name!r}: spectrum longer than block")
+        if len(self.spectrum) > len(self.factor_names):
+            raise ParameterError(f"block {self.name!r}: spectrum longer than block")
 
     @property
     def size(self) -> int:
         return len(self.factor_names)
 
     def variances(self) -> np.ndarray:
-        p = self.size
-        if self.corr is not None:
-            lam = np.full(p, 1.0 - self.corr)
-            lam[0] = 1.0 + (p - 1) * self.corr
-        else:
-            lam = np.zeros(p)
-            lam[: len(self.spectrum)] = self.spectrum
+        lam = np.zeros(self.size)
+        lam[: len(self.spectrum)] = self.spectrum
         if np.any(lam < 0):
             raise ParameterError(
                 f"block {self.name!r}: implied covariance is not positive semi-definite"
@@ -418,37 +370,28 @@ def apply_liquidity_horizon(
 # P&L and statistics
 # ---------------------------------------------------------------------------
 
-def _evaluate_rows(evaluator, shocks: np.ndarray) -> np.ndarray:
-    out = np.empty(shocks.shape[0])
-    for i, row in enumerate(shocks):
-        try:
-            out[i] = evaluator(row)
-        except Exception as exc:
-            raise type(exc)(f"scenario {i}: {exc}") from exc
-    return out
+def pnl_distribution(evaluator, shocks: np.ndarray, base_value: float) -> np.ndarray:
+    """P&L_i = evaluator(shocks[i]) - base_value, one call per row; losses negative.
 
-
-def pnl_distribution(
-    evaluator,
-    scen: ScenarioSet,
-    base_shock,
-    source: str,
-    base_value: float | None = None,
-) -> PnlDistribution:
-    """P&L_i = value(shock_i) - value(base_shock).
-
-    Pass base_value when the base valuation is already known, so brute-force
-    call accounting stays at exactly one call per scenario.
+    The one per-row pricing loop. An evaluator error, or a value that is not
+    finite, stops it at that row and names the scenario index.
     """
-    base_shock = np.asarray(base_shock, dtype=float)
-    if base_shock.shape != (scen.n_factors,):
-        raise ArgumentError(
-            f"base shock of shape {base_shock.shape}, expected ({scen.n_factors},)"
-        )
-    if base_value is None:
-        base_value = float(evaluator(base_shock))
-    values = _evaluate_rows(evaluator, scen.shocks)
-    return PnlDistribution(values=values - base_value, source=source)
+    out = np.empty(len(shocks))
+    # Overflow on the way to a non-finite value is reported, with its
+    # scenario, by the check below. One errstate covers the whole loop:
+    # entering one costs about 2 us, near a tenth of a swaps valuation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(shocks):
+            try:
+                value = evaluator(row)
+            except Exception as exc:
+                raise type(exc)(f"scenario {i}: {exc}") from exc
+            if not math.isfinite(value):
+                raise ModelDomainError(f"scenario {i}: portfolio value {value} is not finite")
+            out[i] = value
+    out -= base_value
+    out.flags.writeable = False
+    return out
 
 
 def es_tail_size(count: int, alpha: float) -> int:
@@ -466,7 +409,7 @@ def expected_shortfall(pnl, alpha: float = 0.975) -> float:
 
     Losses are negative P&L; the result is positive when the tail is losing.
     """
-    values = pnl.values if isinstance(pnl, PnlDistribution) else np.asarray(pnl, dtype=float)
+    values = np.asarray(pnl, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ArgumentError("P&L distribution must be a non-empty vector")
     t = es_tail_size(values.size, alpha)
@@ -476,8 +419,8 @@ def expected_shortfall(pnl, alpha: float = 0.975) -> float:
 
 def correlation(a, b) -> float:
     """Pearson correlation of two P&L distributions."""
-    x = a.values if isinstance(a, PnlDistribution) else np.asarray(a, dtype=float)
-    y = b.values if isinstance(b, PnlDistribution) else np.asarray(b, dtype=float)
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ArgumentError("correlation needs two equal-length vectors of size >= 2")
     xc = x - x.mean()
@@ -510,8 +453,8 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     D is the sup distance between the two empirical CDFs; the p-value is the
     Kolmogorov survival function at sqrt(na*nb/(na+nb)) * D.
     """
-    x = np.sort(a.values if isinstance(a, PnlDistribution) else np.asarray(a, dtype=float))
-    y = np.sort(b.values if isinstance(b, PnlDistribution) else np.asarray(b, dtype=float))
+    x = np.sort(np.asarray(a, dtype=float))
+    y = np.sort(np.asarray(b, dtype=float))
     if x.size == 0 or y.size == 0:
         raise ArgumentError("both samples must be non-empty")
     both = np.concatenate([x, y])
@@ -538,16 +481,8 @@ def rolling_ratio_backtest(hypothetical, risk_theoretical, window: int) -> Ratio
     Windows whose hypothetical denominator is zero are flagged undefined and
     carry NaN.
     """
-    ht = np.asarray(
-        hypothetical.values if isinstance(hypothetical, PnlDistribution) else hypothetical,
-        dtype=float,
-    )
-    rt = np.asarray(
-        risk_theoretical.values
-        if isinstance(risk_theoretical, PnlDistribution)
-        else risk_theoretical,
-        dtype=float,
-    )
+    ht = np.asarray(hypothetical, dtype=float)
+    rt = np.asarray(risk_theoretical, dtype=float)
     if ht.shape != rt.shape or ht.ndim != 1:
         raise ArgumentError("series must be equal-length vectors")
     if window < 1:
@@ -589,8 +524,8 @@ class BrutePnl:
     """Brute-force P&L of every horizon, from one base valuation."""
 
     base_value: float
-    scenarios: dict[str, ScenarioSet]  # horizon -> the shocks priced
-    pnl: dict[str, PnlDistribution]  # horizon -> brute-force P&L
+    shocks: dict[str, np.ndarray]  # horizon -> the shocks priced
+    pnl: dict[str, np.ndarray]  # horizon -> brute-force P&L
 
 
 def brute_pnl(
@@ -609,34 +544,23 @@ def brute_pnl(
     base_shock = np.asarray(base_shock, dtype=float)
     horizons = dict(horizons or {})
     horizons.setdefault(scenarios.horizon, None)
+    shocks = {
+        h: scenarios.shocks if shocked is None
+        else apply_liquidity_horizon(scenarios, shocked, base_shock, h).shocks
+        for h, shocked in horizons.items()
+    }
     base_value = float(pricer(base_shock))
-    scen: dict[str, ScenarioSet] = {}
-    pnl: dict[str, PnlDistribution] = {}
-    for horizon, shocked in horizons.items():
-        if shocked is not None:
-            scen_h = apply_liquidity_horizon(scenarios, shocked, base_shock, horizon)
-        elif horizon == scenarios.horizon:
-            scen_h = scenarios
-        else:
-            scen_h = ScenarioSet(
-                labels=scenarios.labels,
-                shocks=scenarios.shocks,
-                factor_names=scenarios.factor_names,
-                horizon=horizon,
-            )
-        scen[horizon] = scen_h
-        pnl[horizon] = pnl_distribution(
-            pricer, scen_h, base_shock, "brute", base_value=base_value
-        )
-    return BrutePnl(base_value=base_value, scenarios=scen, pnl=pnl)
+    if not math.isfinite(base_value):
+        raise ModelDomainError(f"base shock: portfolio value {base_value} is not finite")
+    pnl = {h: pnl_distribution(pricer, s, base_value) for h, s in shocks.items()}
+    return BrutePnl(base_value=base_value, shocks=shocks, pnl=pnl)
 
 
 @dataclass
 class RunResult:
     slider: OrthogonalSlider
     reports: dict[str, EsReport]
-    pnl: dict[str, dict[str, PnlDistribution]]  # horizon -> source -> series
-    labels: dict[str, tuple[str, ...]]
+    pnl: dict[str, dict[str, np.ndarray]]  # horizon -> source -> P&L series
     base_value: float
     build_calls: int
 
@@ -653,33 +577,21 @@ def run_es_analysis(
     base_shock,
     block_spec: PcaBlockSpec,
     config: SliderConfig,
+    brute: BrutePnl,
     alpha: float = 0.975,
-    horizons: dict[str, tuple[str, ...] | None] | None = None,
     diagnostic: bool = False,
-    domain_pad: float = 0.01,
-    brute: BrutePnl | None = None,
 ) -> RunResult:
-    """Full brute-vs-slider comparison on the 10-day history plus reuse horizons.
+    """Brute-vs-slider comparison on every horizon of `brute`.
 
-    `horizons` maps a horizon tag to the factor names shocked at that
-    horizon (None means all; the 10-day entry is implied). The slider is
-    built once, on the 10-day shocks, and reused everywhere else.
-
-    Pass `brute`, the brute_pnl of the same pricer, scenarios, base shock
-    and horizons, to reuse one brute-force pass across several slider
-    configurations; `horizons` is then taken from it.
+    `brute` is the brute_pnl of the same pricer, scenarios and base shock;
+    one brute-force pass serves any number of slider configurations. The
+    slider is built once, on the scenarios' own (10-day) shocks, and reused
+    on every other horizon.
     """
-    base_shock = np.asarray(base_shock, dtype=float)
-    if brute is None:
-        brute = brute_pnl(pricer, scenarios, base_shock, horizons)
-    elif horizons is not None:
-        raise ArgumentError("give horizons to brute_pnl, not next to a precomputed brute pass")
     base_value = brute.base_value
 
     calls_before_build = pricer.call_count
-    oslider = build_orthogonal_slider(
-        pricer, scenarios.shocks, block_spec, config, base_shock, domain_pad=domain_pad,
-    )
+    oslider = build_orthogonal_slider(pricer, scenarios.shocks, block_spec, config, base_shock)
     build_calls = pricer.call_count - calls_before_build
 
     points = (
@@ -690,25 +602,23 @@ def run_es_analysis(
     pca_dims = tuple(b.k for b in block_spec.blocks)
 
     reports: dict[str, EsReport] = {}
-    pnl: dict[str, dict[str, PnlDistribution]] = {}
-    labels: dict[str, tuple[str, ...]] = {}
+    pnl: dict[str, dict[str, np.ndarray]] = {}
 
-    for horizon, scen_h in brute.scenarios.items():
+    for horizon, shocks_h in brute.shocks.items():
         brute_h = brute.pnl[horizon]
+        count = len(shocks_h)
         horizon_build_calls = build_calls if horizon == scenarios.horizon else 0
 
         clamp = ClampCounter()
         calls_before_eval = pricer.call_count
-        slider_values = eval_orthogonal_slider_many(oslider, scen_h.shocks, clamp)
+        slider_pnl = eval_orthogonal_slider_many(oslider, shocks_h, clamp) - base_value
+        slider_pnl.flags.writeable = False
         incremental = pricer.call_count - calls_before_eval  # slider reuse: 0
-        slider_pnl = PnlDistribution(values=slider_values - base_value, source="slider")
 
         series = {"brute": brute_h, "slider": slider_pnl}
         if diagnostic:
-            repriced_shocks = reconstruct_through(oslider, scen_h.shocks)
-            repriced = _evaluate_rows(pricer, repriced_shocks)
-            series["pca_repriced"] = PnlDistribution(
-                values=repriced - base_value, source="pca_repriced"
+            series["pca_repriced"] = pnl_distribution(
+                pricer, reconstruct_through(oslider, shocks_h), base_value
             )
 
         es_b = expected_shortfall(brute_h, alpha)
@@ -719,7 +629,7 @@ def run_es_analysis(
             es_brute=es_b,
             es_slider=es_s,
             relative_error=_relative_error(es_b, es_s),
-            savings=savings(horizon_build_calls, scen_h.count),
+            savings=savings(horizon_build_calls, count),
             correlation=correlation(brute_h, slider_pnl),
             ks_statistic=d,
             ks_p_value=p,
@@ -727,20 +637,18 @@ def run_es_analysis(
             slider_tuple=config.slide_dims,
             points_per_dim=int(points),
             alpha=alpha,
-            scenario_count=scen_h.count,
-            es_tail_size=es_tail_size(scen_h.count, alpha),
+            scenario_count=count,
+            es_tail_size=es_tail_size(count, alpha),
             build_calls=horizon_build_calls,
             incremental_calls=incremental,
             clamped_evaluations=clamp.count,
         )
         pnl[horizon] = series
-        labels[horizon] = scen_h.labels
 
     return RunResult(
         slider=oslider,
         reports=reports,
         pnl=pnl,
-        labels=labels,
         base_value=base_value,
         build_calls=build_calls,
     )

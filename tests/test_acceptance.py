@@ -18,6 +18,7 @@ from chebslider import (
     Domain1D,
     HyperRectangle,
     SliderConfig,
+    brute_pnl,
     build_interpolant,
     build_mesh,
     build_slider,
@@ -59,10 +60,11 @@ def swaps_run():
     scen = generate_synthetic_history(demo.synthetic, SEED)
     pricer = shocked_pricer(list(demo.portfolio), demo.market)
     layout = BlockLayout.from_doc(demo.blocks_doc(), demo.factor_names)
+    base = np.zeros(pricer.n_factors)
     t0 = time.perf_counter()
+    brute = brute_pnl(pricer, scen, base, layout.horizon_map())
     result = run_es_analysis(
-        pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
-        SliderConfig((1, 1, 1), 5), alpha=0.975, horizons=layout.horizon_map(),
+        pricer, scen, base, layout.pca_spec((3,)), SliderConfig((1, 1, 1), 5), brute, alpha=0.975,
     )
     wall = time.perf_counter() - t0
     return demo, scen, pricer, result, wall
@@ -77,10 +79,11 @@ def swaptions_runs():
     t0 = time.perf_counter()
     for dims in ((10, 10), (5, 5)):
         pricer = shocked_pricer(list(demo.portfolio), demo.market)
+        base = np.zeros(pricer.n_factors)
+        brute = brute_pnl(pricer, scen, base, layout.horizon_map(("10d", "60d")))
         result = run_es_analysis(
-            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec(dims),
-            SliderConfig((1,) * sum(dims), 5), alpha=0.975,
-            horizons=layout.horizon_map(("10d", "60d")),
+            pricer, scen, base, layout.pca_spec(dims), SliderConfig((1,) * sum(dims), 5), brute,
+            alpha=0.975,
         )
         out[sum(dims)] = (pricer, result)
     wall = time.perf_counter() - t0

@@ -4,9 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebslider.cli import build_parser, main
+from chebslider.errors import ArgumentError
 from chebslider.pricers import ShockedPortfolioPricer
 
 
@@ -318,9 +323,12 @@ class TestMalformedInputs:
             ["run", "--out", "{tmp}/o", "--save-slider", "{tmp}/afile/s.json"],
             ["sweep", "--dims", "20", "--out", "{tmp}/afile/s.csv"],
             ["backtest", "--out", "{tmp}/afile/r.csv"],
+            # backtest prices the 10-day horizon only
+            ["backtest", "--horizons", "60d", "--out", "{tmp}/r.csv"],
         ],
         ids=["run-alpha", "run-tuple", "run-dims", "backtest-dims", "backtest-window",
-             "sweep-alpha", "run-out", "run-save-slider", "sweep-out", "backtest-out"],
+             "sweep-alpha", "run-out", "run-save-slider", "sweep-out", "backtest-out",
+             "backtest-horizons"],
     )
     def test_bad_option_exits_2_before_any_pricer_call(self, tmp_path, pricer_calls, argv):
         (tmp_path / "afile").write_text("")
@@ -330,6 +338,25 @@ class TestMalformedInputs:
         )
         assert code == 2
         _one_json_error(err)
+        assert pricer_calls["n"] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--synthetic", "swaps", "--bogus", "1", "--out", "o"],
+             "chebslider: unrecognized arguments: --bogus 1"),
+            (["run", "--synthetic", "swaps", "--points", "abc", "--out", "o"],
+             "chebslider run: argument --points: invalid int value: 'abc'"),
+            (["run", "--synthetic", "swaps"],
+             "chebslider run: the following arguments are required: --out"),
+            ([], "chebslider: the following arguments are required: command"),
+        ],
+        ids=["unknown-option", "bad-int", "missing-out", "missing-command"],
+    )
+    def test_bad_command_line_is_one_json_error(self, pricer_calls, argv, message):
+        code, err = _run_quietly(argv)
+        assert code == 2
+        assert _one_json_error(err) == {"error": "ArgumentError", "message": message}
         assert pricer_calls["n"] == 0
 
     @pytest.mark.parametrize(
@@ -438,6 +465,52 @@ class TestMalformedInputs:
             _one_json_error(err)
 
 
+class TestNonFiniteValuation:
+    def test_exits_3_at_its_scenario(self, tmp_path, pricer_calls):
+        fixtures = tmp_path / "fix"
+        run_cli("demo", "--which", "swaps", "--scenario-count", "40", "--out", str(fixtures))
+        scenarios = fixtures / "scenarios.csv"
+        lines = scenarios.read_text().splitlines()
+        # scenario 5 drops every zero rate by 40: discount factors overflow
+        crash = ["crash"] + ["-40.0"] * (len(lines[0].split(",")) - 1)
+        scenarios.write_text("\n".join([*lines[:6], ",".join(crash), *lines[6:]]) + "\n")
+        sweep_out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning must not leak
+            code, err = _run_quietly(_file_run_argv(fixtures, tmp_path / "o"))
+            assert pricer_calls["n"] == 1 + 6  # base, then scenarios 0-5
+            sweep_argv = _file_run_argv(fixtures, sweep_out, "--dims", "3", "--tuples", "1x*")
+            sweep_code, _ = _run_quietly(["sweep", *sweep_argv[1:]])
+        assert code == 3
+        error = _one_json_error(err)
+        assert error["error"] == "ModelDomainError"
+        assert re.fullmatch(r"scenario 5: portfolio value \S+ is not finite", error["message"])
+        assert sweep_code == 0
+        assert [row["error"] for row in _rows(sweep_out)] == [
+            f"ModelDomainError: {error['message']}"
+        ]
+
+
+def test_cli_imports_no_third_party_module_but_numpy():
+    # The test extras (scipy, jsonschema, hypothesis) are installed wherever
+    # the tests run, so an accidental import of one would pass every other
+    # test. The baseline is what the interpreter loaded at startup, site
+    # .pth files included.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import chebslider.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - sys.stdlib_module_names)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.split() == ["chebslider", "numpy"]
+
+
 def _readme_commands():
     """Every `chebslider ...` command in the README's bash blocks, as argv lists."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -457,7 +530,7 @@ def test_readme_commands_parse():
     for argv in commands:
         try:
             parser.parse_args(argv)
-        except SystemExit:
+        except ArgumentError:
             pytest.fail(f"README command does not parse: chebslider {shlex.join(argv)}")
 
 

@@ -10,8 +10,8 @@ from scipy import stats
 
 from chebslider import (
     ArgumentError,
+    ModelDomainError,
     ParameterError,
-    PnlDistribution,
     ScenarioSet,
     SliderConfig,
     SwapTrade,
@@ -37,6 +37,11 @@ from chebslider.errors import ConfigurationError
 from chebslider.riskengine import BlockLayout, kolmogorov_sf, read_scenarios, write_scenarios
 
 from .oracles import InstrumentedPricer, es_exhaustive, kolmogorov_sf_theta
+
+
+def _equicorrelation(p, rho):
+    """Variance spectrum of p factors with pairwise correlation rho."""
+    return (1 + (p - 1) * rho,) + (1 - rho,) * (p - 1)
 
 
 class TestExpectedShortfall:
@@ -104,7 +109,7 @@ class TestExpectedShortfall:
 
 class TestCorrelation:
     def test_self_is_one(self):
-        a = PnlDistribution(np.array([1.0, 2.0, -3.0, 0.5]), "brute")
+        a = np.array([1.0, 2.0, -3.0, 0.5])
         assert correlation(a, a) == pytest.approx(1.0)
 
     def test_negated_is_minus_one(self):
@@ -242,7 +247,8 @@ class TestSyntheticHistory:
 
     def test_zero_scale_gives_zero_shocks(self):
         block = SyntheticBlock(
-            name="flat", factor_names=tuple(f"f{i}" for i in range(5)), scale=0.0, corr=0.5
+            name="flat", factor_names=tuple(f"f{i}" for i in range(5)), scale=0.0,
+            spectrum=_equicorrelation(5, 0.5),
         )
         scen = generate_synthetic_history(SyntheticSpec(blocks=(block,), count=20), 0)
         assert np.all(scen.shocks == 0.0)
@@ -254,24 +260,17 @@ class TestSyntheticHistory:
             name="rates",
             factor_names=tuple(f"r{i}" for i in range(40)),
             scale=0.01,
-            corr=0.95,
+            spectrum=_equicorrelation(40, 0.95),
         )
         scen = generate_synthetic_history(SyntheticSpec(blocks=(block,), count=3131), 42)
         m = fit_pca(scen.shocks, 40)
         frac = m.explained_variance[:3].sum() / m.explained_variance.sum()
         assert frac >= 0.95
 
-    def test_non_psd_equicorrelation_rejected(self):
-        block = SyntheticBlock(
-            name="bad", factor_names=("a", "b", "c"), scale=1.0, corr=-0.9
-        )
-        with pytest.raises(ParameterError):
-            generate_synthetic_history(SyntheticSpec(blocks=(block,), count=10), 0)
-
     def test_non_psd_block_corr_rejected(self):
         blocks = (
-            SyntheticBlock(name="a", factor_names=("x",), scale=1.0, corr=0.0),
-            SyntheticBlock(name="b", factor_names=("y",), scale=1.0, corr=0.0),
+            SyntheticBlock(name="a", factor_names=("x",), scale=1.0, spectrum=(1.0,)),
+            SyntheticBlock(name="b", factor_names=("y",), scale=1.0, spectrum=(1.0,)),
         )
         spec = SyntheticSpec(
             blocks=blocks, count=10, block_corr=np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -288,8 +287,12 @@ class TestSyntheticHistory:
 
     def test_block_correlation_applied(self):
         blocks = (
-            SyntheticBlock(name="a", factor_names=("x1", "x2"), scale=1.0, corr=0.999),
-            SyntheticBlock(name="b", factor_names=("y1", "y2"), scale=1.0, corr=0.999),
+            SyntheticBlock(
+                name="a", factor_names=("x1", "x2"), scale=1.0, spectrum=_equicorrelation(2, 0.999)
+            ),
+            SyntheticBlock(
+                name="b", factor_names=("y1", "y2"), scale=1.0, spectrum=_equicorrelation(2, 0.999)
+            ),
         )
         spec = SyntheticSpec(
             blocks=blocks, count=4000, block_corr=np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -335,21 +338,14 @@ class TestLiquidityHorizons:
 
 class TestPnlDistribution:
     def test_base_scenarios_give_zero(self):
-        scen = ScenarioSet(
-            labels=("a", "b"),
-            shocks=np.zeros((2, 3)),
-            factor_names=("x", "y", "z"),
-        )
         f = InstrumentedPricer(lambda v: float(v.sum() + 5.0))
-        pnl = pnl_distribution(f, scen, np.zeros(3), "brute")
-        assert np.all(pnl.values == 0.0)
+        pnl = pnl_distribution(f, np.zeros((2, 3)), f(np.zeros(3)))
+        assert np.all(pnl == 0.0)
+        assert not pnl.flags.writeable
 
     def test_base_value_parameter_avoids_extra_call(self):
-        scen = ScenarioSet(
-            labels=("a", "b"), shocks=np.ones((2, 2)), factor_names=("x", "y")
-        )
         f = InstrumentedPricer(lambda v: float(v.sum()))
-        pnl_distribution(f, scen, np.zeros(2), "brute", base_value=0.0)
+        pnl_distribution(f, np.ones((2, 2)), 0.0)
         assert f.call_count == 2
 
     def test_antisymmetric_parallel_pair_on_single_swap(self):
@@ -357,27 +353,31 @@ class TestPnlDistribution:
         trade = SwapTrade(notional=1e6, fixed_rate=0.025, maturity=10.0, frequency=0.5, payer=True)
         pricer = shocked_pricer([trade], demo.market)
         bump = np.full(pricer.n_factors, 1e-4)
-        scen = ScenarioSet(
-            labels=("up", "down"),
-            shocks=np.vstack([bump, -bump]),
-            factor_names=tuple(pricer.factor_names),
-        )
-        pnl = pnl_distribution(pricer, scen, np.zeros(pricer.n_factors), "brute")
-        up, down = pnl.values
+        base_value = pricer(np.zeros(pricer.n_factors))
+        up, down = pnl_distribution(pricer, np.vstack([bump, -bump]), base_value)
         assert up == pytest.approx(-down, rel=0.05)
 
     def test_evaluator_errors_carry_scenario_index(self):
-        scen = ScenarioSet(
-            labels=("a", "b"), shocks=np.array([[0.0], [1.0]]), factor_names=("x",)
-        )
-
         def bad(v):
             if v[0] > 0.5:
                 raise ArgumentError("boom")
             return 0.0
 
         with pytest.raises(ArgumentError, match="scenario 1"):
-            pnl_distribution(bad, scen, np.zeros(1), "brute", base_value=0.0)
+            pnl_distribution(bad, np.array([[0.0], [1.0]]), 0.0)
+
+    def test_non_finite_value_stops_at_its_scenario(self):
+        f = InstrumentedPricer(lambda v: math.inf if v[0] > 0.5 else 0.0)
+        with pytest.raises(ModelDomainError, match=r"^scenario 1: portfolio value inf is not finite"):
+            pnl_distribution(f, np.array([[0.0], [1.0], [0.0]]), 0.0)
+        assert f.call_count == 2
+
+    def test_non_finite_base_value_rejected(self):
+        scen = ScenarioSet(labels=("a",), shocks=np.ones((1, 2)), factor_names=("x", "y"))
+        f = InstrumentedPricer(lambda v: math.nan if v[0] == 0.0 else 1.0)
+        with pytest.raises(ModelDomainError, match=r"^base shock: portfolio value nan"):
+            brute_pnl(f, scen, np.zeros(2))
+        assert f.call_count == 1
 
 
 class TestRunAnalysis:
@@ -387,12 +387,17 @@ class TestRunAnalysis:
         pricer = shocked_pricer(list(demo.portfolio), demo.market)
         return BlockLayout.from_doc(demo.blocks_doc(), demo.factor_names), scen, pricer
 
+    def _run(self, layout, scen, pricer, diagnostic=False):
+        base = np.zeros(pricer.n_factors)
+        brute = brute_pnl(pricer, scen, base, layout.horizon_map())
+        return run_es_analysis(
+            pricer, scen, base, layout.pca_spec((3,)), SliderConfig((1, 1, 1), 5), brute,
+            diagnostic=diagnostic,
+        )
+
     def test_report_identity_and_accounting(self):
         layout, scen, pricer = self._setup()
-        res = run_es_analysis(
-            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
-            SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(),
-        )
+        res = self._run(layout, scen, pricer)
         r = res.reports["10d"]
         assert r.relative_error == pytest.approx(
             abs(r.es_slider - r.es_brute) / abs(r.es_brute), abs=1e-12
@@ -404,48 +409,33 @@ class TestRunAnalysis:
 
     def test_triangle_inequality_of_series(self):
         layout, scen, pricer = self._setup(count=300)
-        res = run_es_analysis(
-            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
-            SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(), diagnostic=True,
-        )
-        s = res.pnl["10d"]
-        brute = s["brute"].values
-        pca = s["pca_repriced"].values
-        slider = s["slider"].values
+        s = self._run(layout, scen, pricer, diagnostic=True).pnl["10d"]
+        brute, pca, slider = s["brute"], s["pca_repriced"], s["slider"]
         lhs = np.abs(slider - brute)
         rhs = np.abs(slider - pca) + np.abs(pca - brute)
         assert np.all(lhs <= rhs + 1e-9 * (1 + np.abs(brute)))
 
     def test_diagnostic_costs_full_brute_force(self):
         layout, scen, pricer = self._setup(count=150)
-        run_es_analysis(
-            pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
-            SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(), diagnostic=True,
-        )
+        self._run(layout, scen, pricer, diagnostic=True)
         # base + brute + build + pca_reprice
         assert pricer.call_count == 1 + 150 + 16 + 150
 
     def test_shared_brute_pass_matches_separate_runs(self):
         layout, scen, pricer = self._setup(count=200)
-        shared = brute_pnl(pricer, scen, np.zeros(pricer.n_factors), layout.horizon_map())
+        base = np.zeros(pricer.n_factors)
+        shared = brute_pnl(pricer, scen, base, layout.horizon_map())
         assert pricer.call_count == 1 + scen.count
         for dims, slides in (((3,), (1, 1, 1)), ((2,), (2,))):
             cfg = SliderConfig(slides, 5)
-            reused = run_es_analysis(
-                pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec(dims), cfg, brute=shared,
-            )
+            reused = run_es_analysis(pricer, scen, base, layout.pca_spec(dims), cfg, shared)
             _, _, fresh_pricer = self._setup(count=200)
+            fresh_brute = brute_pnl(fresh_pricer, scen, base, layout.horizon_map())
             fresh = run_es_analysis(
-                fresh_pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec(dims), cfg,
-                horizons=layout.horizon_map(),
+                fresh_pricer, scen, base, layout.pca_spec(dims), cfg, fresh_brute
             )
             assert reused.reports == fresh.reports
         assert pricer.call_count == 1 + scen.count + 16 + 26
-        with pytest.raises(ArgumentError):
-            run_es_analysis(
-                pricer, scen, np.zeros(pricer.n_factors), layout.pca_spec((3,)),
-                SliderConfig((1, 1, 1), 5), horizons=layout.horizon_map(), brute=shared,
-            )
 
 
 class TestScenarioCsv:
