@@ -10,10 +10,8 @@ from .cheb1d import (
     ChebyshevInterpolant1D,
     ClampCounter,
     Domain1D,
-    ErrorBoundParams,
     build_interpolant,
     chebyshev_points,
-    error_bound,
     eval_barycentric,
     eval_barycentric_many,
 )
@@ -94,9 +92,7 @@ from .slider import (
     build_slider,
     eval_slider,
     eval_slider_many,
-    load_slider,
     parse_slider_tuple,
-    save_slider,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ __all__ = [
     "Domain1D",
     "ChebyshevGrid",
     "ChebyshevInterpolant1D",
-    "ErrorBoundParams",
     "ClampCounter",
     "chebyshev_points",
     "chebyshev_points_centered",
@@ -29,7 +28,6 @@ __all__ = [
     "build_interpolant",
     "eval_barycentric",
     "eval_barycentric_many",
-    "error_bound",
 ]
 
 
@@ -53,10 +51,6 @@ class Domain1D:
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def from_unit(self, u):
-        """Affine image in [lo, hi] of a point u in [-1, 1]."""
-        return self.mid + 0.5 * self.width * np.asarray(u, dtype=float)
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -277,24 +271,3 @@ def eval_barycentric_many(
     if clamp_counter is not None:
         clamp_counter.record(int(np.count_nonzero(clipped != xs)))
     return barycentric_eval_many(p.grid.nodes, p.grid.weights, p.values, clipped)
-
-
-@dataclass(frozen=True)
-class ErrorBoundParams:
-    """Bernstein-ellipse radius rho and sup bound M of |f| on that ellipse."""
-
-    rho: float
-    M: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and self.rho > 1.0):
-            raise ParameterError(f"rho must be > 1, got {self.rho}")
-        if not (math.isfinite(self.M) and self.M >= 0.0):
-            raise ParameterError(f"M must be >= 0, got {self.M}")
-
-
-def error_bound(params: ErrorBoundParams, n: int) -> float:
-    """Sup-norm bound 4*M*rho**(-n) / (rho - 1) for an analytic function."""
-    if n < 0:
-        raise ParameterError(f"degree must be non-negative, got {n}")
-    return 4.0 * params.M * params.rho ** (-n) / (params.rho - 1.0)

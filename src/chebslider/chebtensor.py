@@ -85,10 +85,6 @@ class ChebyshevMesh:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def box(self) -> HyperRectangle:
-        return HyperRectangle(tuple(g.domain for g in self.grids))
-
 
 @dataclass(frozen=True)
 class ChebyshevTensor:

@@ -1,8 +1,9 @@
 """Command-line driver: run, sweep, backtest and demo subcommands.
 
-Batch interface only. Exit codes: 0 success, 2 usage/configuration error,
-3 numerical/model error; failures emit a machine-readable JSON object on
-stderr.
+Batch interface only. Exit codes: 0 success, 3 for a numerical/model error
+(ModelDomainError, SamplingError), 2 for any other error (usage,
+configuration, input files, OSError); failures emit a machine-readable JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .errors import (
     ArgumentError,
     ChebSliderError,
     ConfigurationError,
-    DomainError,
-    MissingCurveError,
+    ModelDomainError,
     ParameterError,
-    UnknownFactorError,
+    SamplingError,
 )
 from .orthopca import PcaBlockSpec, save_orthogonal_slider
 from .pricers import load_market, load_portfolio, save_market, save_portfolio, shocked_pricer
@@ -42,23 +42,24 @@ from .riskengine import (
 )
 from .slider import SliderConfig, parse_slider_tuple
 
-_USAGE_ERRORS = (
-    ConfigurationError,
-    ParameterError,
-    ArgumentError,
-    DomainError,
-    UnknownFactorError,
-    MissingCurveError,
-    OSError,
-    json.JSONDecodeError,
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises its usage errors, so that main reports them as JSON like any other."""
 
     def error(self, message):
         raise ArgumentError(f"{self.prog}: {message}")
+
+
+def _int_from(low: int):
+    """argparse type: an integer of at least `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_source_args(p):
         p.add_argument("--synthetic", choices=["swaps", "swaptions"],
                        help="use a built-in synthetic demo setup")
-        p.add_argument("--seed", type=int, default=0, help="synthetic history seed")
-        p.add_argument("--scenario-count", type=int, default=None,
+        p.add_argument("--seed", type=_int_from(0), default=0, help="synthetic history seed")
+        p.add_argument("--scenario-count", type=_int_from(1), default=None,
                        help="override the synthetic scenario count")
         p.add_argument("--portfolio", help="portfolio JSON path")
         p.add_argument("--market", help="market JSON path")
@@ -83,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated PCA dims, one per block (e.g. '3' or '10,10'); "
                             "default: each block's 'k' in the blocks JSON (the demos give "
                             "it); ignored by sweep")
-        p.add_argument("--points", type=int, default=5, help="Chebyshev points per slide dimension")
+        p.add_argument("--points", type=_int_from(2), default=5,
+                       help="Chebyshev points per slide dimension, at least 2")
         p.add_argument("--alpha", type=float, default=0.975, help="ES confidence level")
 
     def add_horizons_arg(p):
@@ -118,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo_p = sub.add_parser("demo", help="write demo fixture files")
     demo_p.add_argument("--which", choices=["swaps", "swaptions"], required=True)
-    demo_p.add_argument("--seed", type=int, default=0)
-    demo_p.add_argument("--scenario-count", type=int, default=None)
+    demo_p.add_argument("--seed", type=_int_from(0), default=0)
+    demo_p.add_argument("--scenario-count", type=_int_from(1), default=None)
     demo_p.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -346,22 +348,13 @@ def cmd_sweep(args) -> int:
         except ChebSliderError as exc:
             rows.append({**cell, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        for horizon, r in result.reports.items():
+        for r in result.reports.values():
             rows.append(
                 {
+                    **asdict(r),
                     **cell,
-                    "pca_dims": ",".join(str(b.k) for b in spec.blocks),
-                    "slider_tuple": ",".join(str(d) for d in config.slide_dims),
-                    "horizon": horizon,
-                    "es_brute": repr(r.es_brute),
-                    "es_slider": repr(r.es_slider),
-                    "relative_error": repr(r.relative_error),
-                    "savings": repr(r.savings),
-                    "correlation": repr(r.correlation),
-                    "ks_statistic": repr(r.ks_statistic),
-                    "ks_p_value": repr(r.ks_p_value),
-                    "build_calls": r.build_calls,
-                    "error": "",
+                    "pca_dims": ",".join(str(k) for k in r.pca_dims),
+                    "slider_tuple": ",".join(str(d) for d in r.slider_tuple),
                 }
             )
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -443,14 +436,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except _USAGE_ERRORS as exc:
+    except (ChebSliderError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except ChebSliderError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return 3 if isinstance(exc, (ModelDomainError, SamplingError)) else 2
 
 
 if __name__ == "__main__":

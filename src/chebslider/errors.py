@@ -4,6 +4,10 @@
 class ChebSliderError(Exception):
     """Base class for all chebslider errors."""
 
+    # The message as given, also for the KeyError subclasses below, whose
+    # own __str__ would print it repr-quoted.
+    __str__ = Exception.__str__
+
 
 class DomainError(ChebSliderError, ValueError):
     """Invalid interval or hyper-rectangle."""

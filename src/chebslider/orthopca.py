@@ -184,20 +184,12 @@ class OrthogonalSlider:
     slider: Slider
     base_shock: np.ndarray
 
-    @property
-    def input_dim(self) -> int:
-        return self.block_spec.input_dim
-
-    @property
-    def reduced_dim(self) -> int:
-        return self.block_spec.reduced_dim
-
     def project_full(self, shocks) -> np.ndarray:
         """Concatenated block projections of shocks (vector or row matrix)."""
         shocks = np.asarray(shocks, dtype=float)
-        if shocks.shape[-1] != self.input_dim:
+        if shocks.shape[-1] != self.block_spec.input_dim:
             raise ArgumentError(
-                f"shock width {shocks.shape[-1]}, expected {self.input_dim}"
+                f"shock width {shocks.shape[-1]}, expected {self.block_spec.input_dim}"
             )
         parts = [
             project(m, shocks[..., list(b.coord_indices)])
@@ -212,14 +204,13 @@ def build_orthogonal_slider(
     block_spec: PcaBlockSpec,
     config: SliderConfig,
     base_shock,
-    domain_pad: float = 0.01,
 ) -> OrthogonalSlider:
     """Fit per-block PCA on the 10-day shock history and build the slider.
 
     The slider domain per reduced coordinate is the [min, max] of the
-    projected training shocks, padded by `domain_pad` of the range (and
-    widened to include the projected base shock if necessary). The pivot is
-    the projection of the base shock.
+    projected training shocks, padded by 1% of the range (and widened to
+    include the projected base shock if necessary). The pivot is the
+    projection of the base shock.
     """
     shocks = np.asarray(shocks_10d, dtype=float)
     if shocks.ndim != 2:
@@ -247,7 +238,7 @@ def build_orthogonal_slider(
             lo = min(float(scores[:, c].min()), float(base_scores[c]))
             hi = max(float(scores[:, c].max()), float(base_scores[c]))
             span = hi - lo
-            pad = domain_pad * span if span > 0 else max(1.0, abs(hi)) * 1e-9
+            pad = 0.01 * span if span > 0 else max(1.0, abs(hi)) * 1e-9
             domains.append(Domain1D(lo - pad, hi + pad))
         models.append(model)
         pivot_parts.append(base_scores)

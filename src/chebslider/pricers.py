@@ -352,20 +352,11 @@ class _CompiledBook:
 
     def __init__(self, pricer: ShockedPortfolioPricer):
         portfolio, market = pricer.portfolio, pricer.market
-        swaps = []
-        for trade in portfolio:
-            if isinstance(trade, SwaptionTrade):
-                if market.surface is None:
-                    raise ConfigurationError("swaption pricing needs a vol surface")
-                swaps.append(trade.underlying)
-            elif isinstance(trade, SwapTrade):
-                swaps.append(trade)
-            else:
-                raise ArgumentError(f"unknown trade type {type(trade).__name__}")
+        swaps = [t.underlying if isinstance(t, SwaptionTrade) else t for t in portfolio]
 
         # Zero rates of every curve the book reads, stacked in one vector.
         cids = list(dict.fromkeys(c for s in swaps for c in (s.discount_curve, s.forecast_curve)))
-        curves = {cid: _get_curve(market.curves, cid) for cid in cids}
+        curves = {cid: market.curves[cid] for cid in cids}
         sizes = [curves[cid].tenors.size for cid in cids]
         offset = dict(zip(cids, np.cumsum([0, *sizes]).tolist()))
         rates0 = np.concatenate([np.empty(0), *(curves[cid].zero_rates for cid in cids)])
@@ -478,15 +469,21 @@ class ShockedPortfolioPricer:
         self._vol_entries: list[tuple[int, tuple[int, int]]] = []
         for pos, f in enumerate(self.factors):
             if f.kind == "rate":
-                if f.curve_id not in market.curves:
-                    raise MissingCurveError(f"factor {f.name!r} references unknown curve")
                 self._rate_slices.setdefault(f.curve_id, []).append((pos, f.index[0]))
-            elif f.kind == "vol":
-                if market.surface is None:
-                    raise ConfigurationError(f"factor {f.name!r} needs a vol surface")
-                self._vol_entries.append((pos, f.index))  # type: ignore[arg-type]
             else:
-                raise ConfigurationError(f"unknown factor kind {f.kind!r}")
+                self._vol_entries.append((pos, f.index))  # type: ignore[arg-type]
+        # Every trade is checked against the market here, so a book that
+        # cannot be priced fails before its first valuation.
+        for i, trade in enumerate(self.portfolio):
+            if isinstance(trade, SwaptionTrade):
+                if market.surface is None:
+                    raise ConfigurationError(f"trade {i}: swaption pricing needs a vol surface")
+                trade = trade.underlying
+            elif not isinstance(trade, SwapTrade):
+                raise ArgumentError(f"trade {i}: unknown trade type {type(trade).__name__}")
+            for cid in (trade.discount_curve, trade.forecast_curve):
+                if cid not in market.curves:
+                    raise MissingCurveError(f"trade {i}: curve {cid!r} not in market")
 
     @property
     def n_factors(self) -> int:
@@ -624,16 +621,30 @@ def _flag(d: dict, key: str) -> bool:
     return d[key]
 
 
+def _number(d: dict, key: str, default: float | None = None) -> float:
+    value = float(d[key] if default is None else d.get(key, default))
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _curve_id(d: dict, key: str, default: str) -> str:
+    cid = d.get(key, default)
+    if not isinstance(cid, str):
+        raise TypeError(f"{key!r} must be a curve name, got {cid!r}")
+    return cid
+
+
 def _swap_from_dict(d: dict) -> SwapTrade:
     return SwapTrade(
-        notional=float(d["notional"]),
-        fixed_rate=float(d["fixed_rate"]),
-        maturity=float(d["maturity"]),
-        frequency=float(d["frequency"]),
+        notional=_number(d, "notional"),
+        fixed_rate=_number(d, "fixed_rate"),
+        maturity=_number(d, "maturity"),
+        frequency=_number(d, "frequency"),
         payer=_flag(d, "payer"),
-        discount_curve=d.get("discount_curve", "discount"),
-        forecast_curve=d.get("forecast_curve", "forecast"),
-        start=float(d.get("start", 0.0)),
+        discount_curve=_curve_id(d, "discount_curve", "discount"),
+        forecast_curve=_curve_id(d, "forecast_curve", "forecast"),
+        start=_number(d, "start", 0.0),
     )
 
 
@@ -661,8 +672,8 @@ def _trade_from_dict(d: dict):
         return _swap_from_dict(d)
     if d["type"] == "swaption":
         return SwaptionTrade(
-            expiry=float(d["expiry"]),
-            strike=float(d["strike"]),
+            expiry=_number(d, "expiry"),
+            strike=_number(d, "strike"),
             payer=_flag(d, "payer"),
             underlying=_swap_from_dict(d["underlying"]),
         )
@@ -681,4 +692,6 @@ def load_portfolio(path) -> list:
             out.append(_trade_from_dict(d))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise _malformed(path, where, exc) from None
+    if not out:
+        raise ConfigurationError(f"{path}: no trades")
     return out

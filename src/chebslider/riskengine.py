@@ -594,11 +594,6 @@ def run_es_analysis(
     oslider = build_orthogonal_slider(pricer, scenarios.shocks, block_spec, config, base_shock)
     build_calls = pricer.call_count - calls_before_build
 
-    points = (
-        config.points_per_dim
-        if isinstance(config.points_per_dim, int)
-        else max(config.points_per_dim)
-    )
     pca_dims = tuple(b.k for b in block_spec.blocks)
 
     reports: dict[str, EsReport] = {}
@@ -635,7 +630,7 @@ def run_es_analysis(
             ks_p_value=p,
             pca_dims=pca_dims,
             slider_tuple=config.slide_dims,
-            points_per_dim=int(points),
+            points_per_dim=max(config.points_per_dim),
             alpha=alpha,
             scenario_count=count,
             es_tail_size=es_tail_size(count, alpha),
@@ -667,14 +662,16 @@ def write_scenarios(scen: ScenarioSet, path) -> None:
             writer.writerow([label, *(repr(float(v)) for v in row)])
 
 
-def read_scenarios(path, horizon: str = "10d") -> ScenarioSet:
-    """Read a scenario CSV; malformed content raises ArgumentError naming the file and line."""
+def read_scenarios(path) -> ScenarioSet:
+    """Read a 10-day scenario CSV; malformed content raises ArgumentError naming file and line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if not header or header[0] != "label":
                 raise ValueError("scenario CSV must start with a 'label' header column")
+            if len(set(header)) != len(header):
+                raise ValueError("the header names a column twice")
             labels = []
             rows = []
             for line in reader:
@@ -686,9 +683,24 @@ def read_scenarios(path, horizon: str = "10d") -> ScenarioSet:
                 rows.append([float(v) for v in line[1:]])
         except (ValueError, csv.Error) as exc:  # also a non-numeric cell, undecodable bytes
             raise ArgumentError(f"{path}, line {reader.line_num or 1}: {exc}") from None
-    return ScenarioSet(
-        labels=tuple(labels),
-        shocks=np.asarray(rows, dtype=float),
-        factor_names=tuple(header[1:]),
-        horizon=horizon,
-    )
+    if not rows:
+        raise ArgumentError(f"{path}: no scenario rows after the header")
+    shocks = np.asarray(rows, dtype=float)
+    if not np.isfinite(shocks).all():
+        raise ArgumentError(_non_finite_shock(path, header, shocks))
+    return ScenarioSet(labels=tuple(labels), shocks=shocks, factor_names=tuple(header[1:]))
+
+
+def _non_finite_shock(path, header, shocks: np.ndarray) -> str:
+    # Read the file again to find the line of the first non-finite shock;
+    # this runs only on failure, so a valid file costs no per-row bookkeeping.
+    row, col = np.argwhere(~np.isfinite(shocks))[0]
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        lines = (line for line in reader if line)
+        for _ in range(row + 2):  # the header, then scenarios 0..row
+            line = next(lines)
+        return (
+            f"{path}, line {reader.line_num}: shock {line[col + 1]!r} "
+            f"for {header[col + 1]} is not finite"
+        )

@@ -13,7 +13,6 @@ middle mesh node and the slider reproduces v at z exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,8 +39,6 @@ __all__ = [
     "parse_slider_tuple",
     "slider_to_dict",
     "slider_from_dict",
-    "save_slider",
-    "load_slider",
 ]
 
 SCHEMA_VERSION = 1
@@ -51,9 +48,9 @@ SCHEMA_VERSION = 1
 class SliderConfig:
     """Slide dimensions (their sum must equal the input dimension) and mesh sizes.
 
-    points_per_dim is either one count shared by every slide dimension or a
-    per-slide list. permutation, when given, reorders the input coordinates
-    before they are assigned to slides in blocks.
+    points_per_dim is given as one count shared by every slide or as one
+    count per slide, and stored per slide. permutation, when given, reorders
+    the input coordinates before they are assigned to slides in blocks.
     """
 
     slide_dims: tuple[int, ...]
@@ -64,17 +61,13 @@ class SliderConfig:
         object.__setattr__(self, "slide_dims", tuple(int(d) for d in self.slide_dims))
         if not self.slide_dims or any(d < 1 for d in self.slide_dims):
             raise ConfigurationError(f"slide dimensions must be positive, got {self.slide_dims}")
-        if isinstance(self.points_per_dim, (tuple, list)):
-            pts = tuple(int(p) for p in self.points_per_dim)
-            if len(pts) != len(self.slide_dims):
-                raise ConfigurationError(
-                    f"{len(pts)} point counts for {len(self.slide_dims)} slides"
-                )
-            object.__setattr__(self, "points_per_dim", pts)
-        else:
-            pts = (int(self.points_per_dim),) * len(self.slide_dims)
+        n = len(self.slide_dims)
+        if np.shape(self.points_per_dim) not in ((), (n,)):
+            raise ConfigurationError(f"{np.size(self.points_per_dim)} point counts for {n} slides")
+        pts = tuple(int(p) for p in np.broadcast_to(self.points_per_dim, n))
         if any(p < 1 for p in pts):
             raise ConfigurationError(f"points per dimension must be >= 1, got {pts}")
+        object.__setattr__(self, "points_per_dim", pts)
         if self.permutation is not None:
             perm = tuple(int(i) for i in self.permutation)
             if sorted(perm) != list(range(self.total_dim)):
@@ -86,11 +79,6 @@ class SliderConfig:
     @property
     def total_dim(self) -> int:
         return sum(self.slide_dims)
-
-    def points_for_slide(self, i: int) -> int:
-        if isinstance(self.points_per_dim, tuple):
-            return self.points_per_dim[i]
-        return int(self.points_per_dim)
 
 
 @dataclass(frozen=True)
@@ -191,8 +179,7 @@ def build_slider(f, box: HyperRectangle, pivot, config: SliderConfig) -> Slider:
     # Symmetric envelope of each requested interval around the pivot: the
     # pivot sits on the middle node whenever the point count is odd.
     grid_for: dict[int, ChebyshevGrid] = {}
-    for i, coords in enumerate(parts):
-        m = config.points_for_slide(i)
+    for coords, m in zip(parts, config.points_per_dim):
         for j in coords:
             d = box.dims[j]
             half = max(pivot[j] - d.lo, d.hi - pivot[j])
@@ -310,13 +297,3 @@ def slider_from_dict(doc: dict) -> Slider:
         box=HyperRectangle(tuple(dims)),
         build_call_count=int(doc["build_call_count"]),
     )
-
-
-def save_slider(s: Slider, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(slider_to_dict(s), fh)
-
-
-def load_slider(path) -> Slider:
-    with open(path, encoding="utf-8") as fh:
-        return slider_from_dict(json.load(fh))

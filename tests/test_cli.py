@@ -19,8 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebslider import cli
 from chebslider.cli import build_parser, main
-from chebslider.errors import ArgumentError
+from chebslider.errors import (
+    ArgumentError,
+    ChebSliderError,
+    ConfigurationError,
+    DomainError,
+    MissingCurveError,
+    ModelDomainError,
+    ParameterError,
+    SamplingError,
+    UnknownFactorError,
+)
 from chebslider.pricers import ShockedPortfolioPricer
 
 
@@ -102,7 +113,7 @@ class TestRun:
         from chebslider import load_orthogonal_slider
 
         os_ = load_orthogonal_slider(slider_path)
-        assert os_.reduced_dim == 3
+        assert os_.block_spec.reduced_dim == 3
 
     def test_determinism_byte_identical(self, tmp_path):
         args = [
@@ -286,6 +297,10 @@ class TestMalformedInputs:
             ("text cell", "scenarios.csv, line 4: could not convert string to float: 'abc'"),
             ("block without name", "blocks.json: block 0 needs a 'name' string"),
             ("unknown factor", "blocks.json: block 1 ('vols'): not risk factors: ['rate:nope:1']"),
+            ("inf cell", "scenarios.csv, line 5: shock 'inf' for rate:discount:1 is not finite"),
+            ("nan cell", "scenarios.csv, line 4: shock 'nan' for rate:discount:0.5 is not finite"),
+            ("header only", "scenarios.csv: no scenario rows after the header"),
+            ("repeated column", "scenarios.csv, line 1: the header names a column twice"),
         ],
     )
     def test_malformed_file_exits_2(self, swaptions_files, tmp_path, case, message):
@@ -295,6 +310,18 @@ class TestMalformedInputs:
             lines[2] = lines[2].rsplit(",", 1)[0]
         elif case == "text cell":
             lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+        elif case in ("inf cell", "nan cell"):
+            # a blank line before the bad row, which the line number counts
+            at, cell, value = (3, 2, "inf") if case == "inf cell" else (2, 1, "nan")
+            cells = lines[at].split(",")
+            cells[cell] = value
+            lines[at:at + 1] = ["", ",".join(cells)]
+        elif case == "header only":
+            lines = lines[:1]
+        elif case == "repeated column":
+            names = lines[0].split(",")
+            names[2] = names[1]
+            lines[0] = ",".join(names)
         elif case == "block without name":
             del doc["blocks"][0]["name"]
         else:
@@ -325,20 +352,34 @@ class TestMalformedInputs:
             ["backtest", "--out", "{tmp}/afile/r.csv"],
             # backtest prices the 10-day horizon only
             ["backtest", "--horizons", "60d", "--out", "{tmp}/r.csv"],
+            ["run", "--seed", "-1", "--out", "{tmp}/o"],
+            ["demo", "--which", "swaps", "--seed", "-5", "--out", "{tmp}/o"],
+            # 0 would otherwise fall back to the demo's default count
+            ["run", "--scenario-count", "0", "--out", "{tmp}/o"],
+            ["demo", "--which", "swaps", "--scenario-count", "0", "--out", "{tmp}/o"],
+            # one node per slide makes every slide constant
+            ["run", "--points", "1", "--out", "{tmp}/o"],
+            ["sweep", "--points", "1", "--dims", "20", "--out", "{tmp}/s.csv"],
+            ["backtest", "--points", "1", "--out", "{tmp}/r.csv"],
         ],
         ids=["run-alpha", "run-tuple", "run-dims", "backtest-dims", "backtest-window",
              "sweep-alpha", "run-out", "run-save-slider", "sweep-out", "backtest-out",
-             "backtest-horizons"],
+             "backtest-horizons", "run-seed", "demo-seed", "run-scenario-count",
+             "demo-scenario-count", "run-points", "sweep-points",
+             "backtest-points"],
     )
     def test_bad_option_exits_2_before_any_pricer_call(self, tmp_path, pricer_calls, argv):
         (tmp_path / "afile").write_text("")
+        source = ["--synthetic", "swaptions", "--scenario-count", "300"]
+        if argv[0] == "demo":  # demo takes no input source
+            source = []
         code, err = _run_quietly(
-            [argv[0], "--synthetic", "swaptions", "--scenario-count", "300",
-             *(a.format(tmp=tmp_path) for a in argv[1:])]
+            [argv[0], *source, *(a.format(tmp=tmp_path) for a in argv[1:])]
         )
         assert code == 2
         _one_json_error(err)
         assert pricer_calls["n"] == 0
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "afile"]
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -369,6 +410,13 @@ class TestMalformedInputs:
             ("unknown trade type", "portfolio.json, trade 1: unknown trade type 'bond'"),
             ("text payer", "portfolio.json, trade 0: 'payer' must be true or false, got 'false'"),
             ("integer payer", "portfolio.json, trade 1: 'payer' must be true or false, got 1"),
+            ("no trades", "portfolio.json: no trades"),
+            ("infinite strike",
+             "portfolio.json, trade 0: 'strike' must be a finite number, got inf"),
+            ("list curve name",
+             "portfolio.json, trade 0: 'discount_curve' must be a curve name, got ['discount']"),
+            ("unknown curve", "MissingCurveError: trade 1: curve 'libor' not in market"),
+            ("market without surface", "trade 0: swaption pricing needs a vol surface"),
         ],
     )
     def test_malformed_book_exits_2_before_any_pricer_call(
@@ -386,6 +434,16 @@ class TestMalformedInputs:
             portfolio["trades"][0]["payer"] = "false"
         elif case == "integer payer":
             portfolio["trades"][1]["underlying"]["payer"] = 1
+        elif case == "no trades":
+            portfolio["trades"] = []
+        elif case == "infinite strike":
+            portfolio["trades"][0]["strike"] = "inf"
+        elif case == "list curve name":
+            portfolio["trades"][0]["underlying"]["discount_curve"] = ["discount"]
+        elif case == "unknown curve":
+            portfolio["trades"][1]["underlying"]["forecast_curve"] = "libor"
+        elif case == "market without surface":
+            market["vol_surface"] = None
         else:
             portfolio["trades"][1]["type"] = "bond"
         (tmp_path / "portfolio.json").write_text(json.dumps(portfolio))
@@ -395,7 +453,8 @@ class TestMalformedInputs:
         argv[argv.index("--market") + 1] = str(tmp_path / "market.json")
         code, err = _run_quietly(argv)
         assert code == 2
-        assert _one_json_error(err)["message"].endswith(message)
+        error = _one_json_error(err)
+        assert f"{error['error']}: {error['message']}".endswith(message)
         assert pricer_calls["n"] == 0
 
     @pytest.mark.parametrize(
@@ -463,6 +522,36 @@ class TestMalformedInputs:
         assert code in (0, 2, 3)
         if code:
             _one_json_error(err)
+
+
+_EXIT_CODES = [
+    (ArgumentError, 2),
+    (ChebSliderError, 2),
+    (ConfigurationError, 2),
+    (DomainError, 2),
+    (MissingCurveError, 2),
+    (ParameterError, 2),
+    (UnknownFactorError, 2),
+    (OSError, 2),
+    (ModelDomainError, 3),
+    (SamplingError, 3),
+]
+
+
+@pytest.mark.parametrize("error, code", _EXIT_CODES, ids=lambda v: getattr(v, "__name__", v))
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, error, code):
+    """3 for a numerical/model error, 2 for any other; the message is printed unquoted."""
+    assert set(ChebSliderError.__subclasses__()) <= {e for e, _ in _EXIT_CODES}
+
+    def fail(args):
+        raise error("trade 0: curve 'libor' not in market")
+
+    monkeypatch.setattr(cli, "cmd_demo", fail)
+    got, err = _run_quietly(["demo", "--which", "swaps", "--out", "unused"])
+    assert got == code
+    assert _one_json_error(err) == {
+        "error": error.__name__, "message": "trade 0: curve 'libor' not in market"
+    }
 
 
 class TestNonFiniteValuation:

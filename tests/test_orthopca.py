@@ -215,7 +215,7 @@ class TestOrthogonalSlider:
         os_ = build_orthogonal_slider(
             pricer, shocks, spec, SliderConfig((1,) * 5, 5), np.zeros(10)
         )
-        assert os_.reduced_dim == 5
+        assert os_.block_spec.reduced_dim == 5
         assert os_.slider.ndim == 5
 
     def test_linear_pricer_lossless_pca_matches_brute(self):

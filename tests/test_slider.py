@@ -18,9 +18,7 @@ from chebslider import (
     build_slider,
     eval_slider,
     eval_slider_many,
-    load_slider,
     parse_slider_tuple,
-    save_slider,
 )
 from chebslider.slider import slider_from_dict, slider_to_dict
 
@@ -35,12 +33,11 @@ class TestSliderConfig:
     def test_tuple_sum(self):
         cfg = SliderConfig(slide_dims=(3, 1, 1), points_per_dim=5)
         assert cfg.total_dim == 5
-        assert cfg.points_for_slide(0) == 5
+        assert cfg.points_per_dim == (5, 5, 5)
 
     def test_per_slide_points(self):
-        cfg = SliderConfig(slide_dims=(2, 1), points_per_dim=(7, 3))
-        assert cfg.points_for_slide(0) == 7
-        assert cfg.points_for_slide(1) == 3
+        cfg = SliderConfig(slide_dims=(2, 1), points_per_dim=[7, 3])
+        assert cfg.points_per_dim == (7, 3)
 
     def test_bad_dims(self):
         with pytest.raises(ConfigurationError):
@@ -248,6 +245,10 @@ class TestEvalSlider:
         assert np.max(np.abs(got - exact)) <= 1e-11 * scale
 
 
+def _json_round_trip(s):
+    return slider_from_dict(json.loads(json.dumps(slider_to_dict(s))))
+
+
 class TestSerialization:
     def _sample_slider(self):
         f = lambda v: float(np.exp(v[0]) + v[1] * v[2] - 0.5 * v[3] ** 2)
@@ -257,11 +258,9 @@ class TestSerialization:
         pivot = np.array([0.2, 1.0, -2.0, 1.0])
         return build_slider(f, box, pivot, SliderConfig((2, 1, 1), 5))
 
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         s = self._sample_slider()
-        path = tmp_path / "slider.json"
-        save_slider(s, path)
-        s2 = load_slider(path)
+        s2 = _json_round_trip(s)
         assert np.array_equal(s2.pivot, s.pivot)
         assert s2.pivot_value == s.pivot_value
         assert s2.build_call_count == s.build_call_count
@@ -272,25 +271,21 @@ class TestSerialization:
                 assert np.array_equal(ga.nodes, gb.nodes)
                 assert ga.domain == gb.domain
 
-    def test_round_trip_evaluates_identically(self, tmp_path):
+    def test_round_trip_evaluates_identically(self):
         s = self._sample_slider()
-        path = tmp_path / "slider.json"
-        save_slider(s, path)
-        s2 = load_slider(path)
+        s2 = _json_round_trip(s)
         rng = np.random.default_rng(9)
         pts = np.column_stack(
             [rng.uniform(d.lo, d.hi, size=25) for d in s.box.dims]
         )
         assert np.array_equal(eval_slider_many(s, pts), eval_slider_many(s2, pts))
 
-    def test_degenerate_single_point_slide_round_trip(self, tmp_path):
+    def test_degenerate_single_point_slide_round_trip(self):
         f = lambda v: float(v[0] + 10.0)
         s = build_slider(
             f, unit_box(2), np.zeros(2), SliderConfig((1, 1), points_per_dim=(5, 1))
         )
-        path = tmp_path / "slider.json"
-        save_slider(s, path)
-        s2 = load_slider(path)
+        s2 = _json_round_trip(s)
         assert eval_slider(s2, [0.5, 0.9]) == eval_slider(s, [0.5, 0.9])
 
     def test_rejects_wrong_kind(self):
@@ -299,12 +294,8 @@ class TestSerialization:
         with pytest.raises(ArgumentError):
             slider_from_dict(doc)
 
-    def test_json_document_is_plain_data(self, tmp_path):
-        s = self._sample_slider()
-        path = tmp_path / "slider.json"
-        save_slider(s, path)
-        with open(path) as fh:
-            doc = json.load(fh)
+    def test_json_document_is_plain_data(self):
+        doc = json.loads(json.dumps(slider_to_dict(self._sample_slider())))
         assert doc["schema_version"] == 1
         assert doc["kind"] == "chebyshev_slider"
         assert len(doc["slides"]) == 3
