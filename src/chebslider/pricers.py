@@ -46,6 +46,9 @@ __all__ = [
 
 VALID_FREQUENCIES = (0.25, 0.5, 1.0)
 VOL_FLOOR = 1e-4
+# Longest swap term in years: past any traded swap (the demos stop at 30y),
+# and a schedule of at most 400 quarterly periods.
+MAX_SWAP_TERM = 100.0
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,15 @@ class ZeroCurve:
         rates = np.asarray(self.zero_rates, dtype=float)
         if tenors.ndim != 1 or tenors.shape != rates.shape or tenors.size == 0:
             raise ParameterError("tenors and zero_rates must be equal-length 1-D arrays")
-        if not (np.all(np.diff(tenors) > 0) and np.all(tenors > 0)):
-            raise ParameterError("tenors must be positive and strictly increasing")
+        if not (np.all(np.diff(tenors) > 0) and np.all(tenors > 0) and np.isfinite(tenors[-1])):
+            raise ParameterError("tenors must be finite, positive and strictly increasing")
         if not np.isfinite(rates).all():
             raise ParameterError("zero rates must be finite")
         knots_t = np.concatenate(([0.0], tenors))
-        knots_y = np.concatenate(([0.0], -rates * tenors))
+        with np.errstate(over="ignore"):
+            knots_y = np.concatenate(([0.0], -rates * tenors))
+        if not np.isfinite(knots_y).all():
+            raise ParameterError("log discounts -zero_rate * tenor overflow")
         for a in (tenors, rates, knots_t, knots_y):
             a.flags.writeable = False
         object.__setattr__(self, "tenors", tenors)
@@ -170,13 +176,18 @@ class SwapTrade:
             raise ConfigurationError(
                 f"need maturity > start >= 0, got start={self.start}, maturity={self.maturity}"
             )
-        nper = (self.maturity - self.start) / self.frequency
-        if abs(nper - round(nper)) > 1e-8:
+        if self.maturity - self.start > MAX_SWAP_TERM:
             raise ConfigurationError(
-                f"maturity {self.maturity} is not a whole number of {self.frequency}y "
-                f"periods from start {self.start}"
+                f"swap term {self.maturity - self.start}y exceeds {MAX_SWAP_TERM:g}y"
             )
-        times = self.start + self.frequency * np.arange(1, int(round(nper)) + 1)
+        nper = (self.maturity - self.start) / self.frequency
+        periods = round(nper)
+        if periods == 0 or abs(nper - periods) > 1e-8:
+            raise ConfigurationError(
+                f"maturity {self.maturity} is not a whole, positive number of "
+                f"{self.frequency}y periods from start {self.start}"
+            )
+        times = self.start + self.frequency * np.arange(1, periods + 1)
         times[-1] = self.maturity
         times.flags.writeable = False
         object.__setattr__(self, "_times", times)
@@ -302,22 +313,24 @@ class RiskFactor:
 
     name: str
     kind: str  # "rate" or "vol"
-    curve_id: str | None
-    index: tuple[int, ...]
 
 
 def market_risk_factors(market: Market) -> list[RiskFactor]:
-    """All curve points, then all vol points, in deterministic order."""
+    """The market's shockable coordinates, in the order of a shock vector.
+
+    The order is every curve's zero rates (curve ids sorted, tenors in
+    order), then the vol grid row-major (expiry-major). So each curve's rates
+    are one slice of the shock, and the vols are its tail.
+    """
     factors: list[RiskFactor] = []
     for cid in sorted(market.curves):
-        curve = market.curves[cid]
-        for i, tenor in enumerate(curve.tenors):
-            factors.append(RiskFactor(f"rate:{cid}:{tenor:g}", "rate", cid, (i,)))
+        for tenor in market.curves[cid].tenors:
+            factors.append(RiskFactor(f"rate:{cid}:{tenor:g}", "rate"))
     if market.surface is not None:
         s = market.surface
-        for i, e in enumerate(s.expiries):
-            for j, t in enumerate(s.tenors):
-                factors.append(RiskFactor(f"vol:{e:g}x{t:g}", "vol", None, (i, j)))
+        for e in s.expiries:
+            for t in s.tenors:
+                factors.append(RiskFactor(f"vol:{e:g}x{t:g}", "vol"))
     return factors
 
 
@@ -339,37 +352,73 @@ def _log_discount_weights(curve: ZeroCurve, t: np.ndarray) -> np.ndarray:
     return on_knots[:, 1:] * -curve.tenors
 
 
-class _CompiledBook:
-    """A portfolio's value as fixed matrices over the shock vector.
+class ShockedPortfolioPricer:
+    """Portfolio value as a function of an additive shock vector.
 
-    Zero rates are affine in the shock and log discounts are linear in the
-    zero rates, so the log discount at every payment time, and the log
-    forward growth over every accrual period, is one row of an affine map
-    of the shock. Leg sums are segment matmuls over those rows. Swaption
-    vols are shocked and floored on the grid, then interpolated with fixed
-    bilinear weights; Black-76 runs per swaption.
+    The shock is laid out as market_risk_factors(market). Rate shocks add to
+    zero rates, vol shocks add to surface vols (floored at VOL_FLOOR; floor
+    events are counted, not raised). Each call values the whole book once and
+    increments call_count by one.
+
+    The constructor checks every trade against the market, naming the trade,
+    and compiles the book into fixed matrices over the shock. Zero rates are
+    affine in the shock and log discounts are linear in the zero rates, so
+    the log discount at every payment time, and the log forward growth over
+    every accrual period, is one row of an affine map of the shock. Leg sums
+    are segment matmuls over those rows. Swaption vols are shocked and
+    floored on the grid, then interpolated with fixed bilinear weights;
+    Black-76 runs per swaption. shocked_market plus price_trade is the
+    reference path the compiled valuation is tested against.
     """
 
-    def __init__(self, pricer: ShockedPortfolioPricer):
-        portfolio, market = pricer.portfolio, pricer.market
-        swaps = [t.underlying if isinstance(t, SwaptionTrade) else t for t in portfolio]
+    def __init__(self, portfolio, market: Market):
+        self.portfolio = list(portfolio)
+        self.market = market
+        self.factors = market_risk_factors(market)
+        self.call_count = 0
+        self.floored_vol_count = 0
+        surface = market.surface
 
-        # Zero rates of every curve the book reads, stacked in one vector.
-        cids = list(dict.fromkeys(c for s in swaps for c in (s.discount_curve, s.forecast_curve)))
-        curves = {cid: market.curves[cid] for cid in cids}
-        sizes = [curves[cid].tenors.size for cid in cids]
-        offset = dict(zip(cids, np.cumsum([0, *sizes]).tolist()))
-        rates0 = np.concatenate([np.empty(0), *(curves[cid].zero_rates for cid in cids)])
-        shock_to_rates = np.zeros((pricer.n_factors, rates0.size))
-        for cid, entries in pricer._rate_slices.items():
-            if cid in offset:
-                for pos, i in entries:
-                    shock_to_rates[pos, offset[cid] + i] += 1.0
+        # Each curve's zero rates are one slice of the shock (and of rates0).
+        cids = sorted(market.curves)
+        ends = np.cumsum([0, *(market.curves[cid].tenors.size for cid in cids)]).tolist()
+        self._curve_slices = {cid: slice(a, b) for cid, a, b in zip(cids, ends, ends[1:])}
+        self._n_rates = n_rates = ends[-1]
+
+        swaps: list[SwapTrade] = []
+        is_swap: list[bool] = []
+        self._swaptions: list[tuple[int, float, float, bool, float]] = []
+        vol_weights = []
+        for i, trade in enumerate(self.portfolio):
+            is_swap.append(isinstance(trade, SwapTrade))
+            if isinstance(trade, SwaptionTrade):
+                if surface is None:
+                    raise ConfigurationError(f"trade {i}: swaption pricing needs a vol surface")
+                self._swaptions.append(
+                    (i, math.sqrt(trade.expiry), trade.strike, trade.payer,
+                     trade.underlying.notional)
+                )
+                i0, i1, wi = _bracket(surface.expiries, trade.expiry)
+                j0, j1, wj = _bracket(surface.tenors, trade.tenor)
+                grid = np.zeros(surface.vols.shape)
+                grid[i0, j0] += (1 - wi) * (1 - wj)
+                grid[i0, j1] += (1 - wi) * wj
+                grid[i1, j0] += wi * (1 - wj)
+                grid[i1, j1] += wi * wj
+                vol_weights.append(grid.ravel())
+                trade = trade.underlying
+            elif not isinstance(trade, SwapTrade):
+                raise ArgumentError(f"trade {i}: unknown trade type {type(trade).__name__}")
+            for cid in (trade.discount_curve, trade.forecast_curve):
+                if cid not in market.curves:
+                    raise MissingCurveError(f"trade {i}: curve {cid!r} not in market")
+            swaps.append(trade)
+
+        rates0 = np.concatenate([np.empty(0), *(market.curves[cid].zero_rates for cid in cids)])
 
         def weights(cid: str, t: np.ndarray) -> np.ndarray:
-            w = np.zeros((t.size, rates0.size))
-            o = offset[cid]
-            w[:, o : o + curves[cid].tenors.size] = _log_discount_weights(curves[cid], t)
+            w = np.zeros((t.size, n_rates))
+            w[:, self._curve_slices[cid]] = _log_discount_weights(market.curves[cid], t)
             return w
 
         times = [s.payment_times for s in swaps]
@@ -379,10 +428,13 @@ class _CompiledBook:
             weights(s.forecast_curve, p) - weights(s.forecast_curve, t)
             for s, t, p in zip(swaps, times, prevs)
         ]
-        rows = np.vstack([np.empty((0, rates0.size)), *log_discount, *log_growth])
+        rows = np.vstack([np.empty((0, n_rates)), *log_discount, *log_growth])
         self._n = rows.shape[0] // 2
         self._offset = rows @ rates0
-        self._slope = shock_to_rates @ rows.T
+        # Full width, with zero rows for the vol factors: shock[:n_rates] @ rows.T
+        # would round some valuations differently in the last bits.
+        self._slope = np.zeros((self.n_factors, rows.shape[0]))
+        self._slope[:n_rates] = rows.T
 
         tau = np.concatenate([np.empty(0), *times]) - np.concatenate([np.empty(0), *prevs])
         counts = [t.size for t in times]
@@ -391,99 +443,12 @@ class _CompiledBook:
         self._tau_segments = self._segments * tau
 
         # Swaps: value = weight * (float leg - fixed rate * annuity).
-        is_swap = np.array([isinstance(t, SwapTrade) for t in portfolio])
         self._fixed = np.array([s.fixed_rate for s in swaps]) * is_swap
         self._swap_weight = np.array(
             [s.notional if s.payer else -s.notional for s in swaps]
         ) * is_swap
-
-        self._swaptions = [
-            (k, math.sqrt(t.expiry), t.strike, t.payer, t.underlying.notional)
-            for k, t in enumerate(portfolio)
-            if isinstance(t, SwaptionTrade)
-        ]
-        surface = market.surface
         self._vol0 = None if surface is None else surface.vols.ravel()
-        self._shock_to_vols = None
-        if pricer._vol_entries:
-            grid = np.zeros((pricer.n_factors, *surface.vols.shape))
-            for pos, (i, j) in pricer._vol_entries:
-                grid[pos, i, j] += 1.0
-            self._shock_to_vols = grid.reshape(pricer.n_factors, -1)
-        if self._swaptions:
-            grid = np.zeros((len(self._swaptions), *surface.vols.shape))
-            for row, t in enumerate(t for t in portfolio if isinstance(t, SwaptionTrade)):
-                i0, i1, wi = _bracket(surface.expiries, t.expiry)
-                j0, j1, wj = _bracket(surface.tenors, t.tenor)
-                grid[row, i0, j0] += (1 - wi) * (1 - wj)
-                grid[row, i0, j1] += (1 - wi) * wj
-                grid[row, i1, j0] += wi * (1 - wj)
-                grid[row, i1, j1] += wi * wj
-            self._vol_weights = grid.reshape(len(self._swaptions), -1)
-
-    def value(self, shock: np.ndarray) -> tuple[float, int]:
-        """Portfolio value at the shock, plus the number of floored vols."""
-        n = self._n
-        e = np.exp(self._offset + shock @ self._slope)
-        df = e[:n]
-        annuity = self._tau_segments @ df
-        floating = self._segments @ ((e[n:] - 1.0) * df)
-        total = float(self._swap_weight @ (floating - self._fixed * annuity))
-        floored = 0
-        vols = self._vol0
-        if self._shock_to_vols is not None:
-            vols = self._vol0 + shock @ self._shock_to_vols
-            floored = int(np.count_nonzero(vols < VOL_FLOOR))
-            np.maximum(vols, VOL_FLOOR, out=vols)
-        if self._swaptions:
-            sigmas = (self._vol_weights @ vols).tolist()
-            floating = floating.tolist()
-            annuity = annuity.tolist()
-            for (k, sqrt_t, strike, payer, notional), sigma in zip(self._swaptions, sigmas):
-                forward = _checked_forward(floating[k], annuity[k])
-                total += notional * annuity[k] * _black(forward, strike, sigma * sqrt_t, payer)
-        return total, floored
-
-
-class ShockedPortfolioPricer:
-    """Portfolio value as a function of an additive shock vector.
-
-    Rate shocks add to zero rates, vol shocks add to surface vols (floored at
-    VOL_FLOOR; floor events are counted, not raised). Each call values the
-    whole book once and increments call_count by one.
-
-    The first call compiles the portfolio and market into matrices
-    (_CompiledBook), so later calls value the whole book with a few numpy
-    operations. shocked_market plus price_trade is the reference path the
-    compiled book is tested against.
-    """
-
-    def __init__(self, portfolio, market: Market):
-        self.portfolio = list(portfolio)
-        self.market = market
-        self.factors = market_risk_factors(market)
-        self.call_count = 0
-        self.floored_vol_count = 0
-        self._book: _CompiledBook | None = None
-        self._rate_slices: dict[str, list[tuple[int, int]]] = {}
-        self._vol_entries: list[tuple[int, tuple[int, int]]] = []
-        for pos, f in enumerate(self.factors):
-            if f.kind == "rate":
-                self._rate_slices.setdefault(f.curve_id, []).append((pos, f.index[0]))
-            else:
-                self._vol_entries.append((pos, f.index))  # type: ignore[arg-type]
-        # Every trade is checked against the market here, so a book that
-        # cannot be priced fails before its first valuation.
-        for i, trade in enumerate(self.portfolio):
-            if isinstance(trade, SwaptionTrade):
-                if market.surface is None:
-                    raise ConfigurationError(f"trade {i}: swaption pricing needs a vol surface")
-                trade = trade.underlying
-            elif not isinstance(trade, SwapTrade):
-                raise ArgumentError(f"trade {i}: unknown trade type {type(trade).__name__}")
-            for cid in (trade.discount_curve, trade.forecast_curve):
-                if cid not in market.curves:
-                    raise MissingCurveError(f"trade {i}: curve {cid!r} not in market")
+        self._vol_weights = np.array(vol_weights)
 
     @property
     def n_factors(self) -> int:
@@ -504,22 +469,14 @@ class ShockedPortfolioPricer:
     def shocked_market(self, shock) -> tuple[Market, int]:
         """The market after applying the shock, plus the number of floored vols."""
         shock = self._checked_shock(shock)
-        curves: dict[str, ZeroCurve] = {}
-        for cid, base in self.market.curves.items():
-            entries = self._rate_slices.get(cid)
-            if not entries:
-                curves[cid] = base
-                continue
-            rates = np.array(base.zero_rates)
-            for pos, i in entries:
-                rates[i] += shock[pos]
-            curves[cid] = ZeroCurve(tenors=base.tenors, zero_rates=rates)
+        curves = {
+            cid: ZeroCurve(c.tenors, c.zero_rates + shock[self._curve_slices[cid]])
+            for cid, c in self.market.curves.items()
+        }
         surface = self.market.surface
         floored = 0
-        if surface is not None and self._vol_entries:
-            vols = np.array(surface.vols)
-            for pos, (i, j) in self._vol_entries:
-                vols[i, j] += shock[pos]
+        if surface is not None:
+            vols = surface.vols + shock[self._n_rates :].reshape(surface.vols.shape)
             floored = int(np.count_nonzero(vols < VOL_FLOOR))
             np.maximum(vols, VOL_FLOOR, out=vols)
             surface = VolSurface(expiries=surface.expiries, tenors=surface.tenors, vols=vols)
@@ -529,9 +486,24 @@ class ShockedPortfolioPricer:
         shock = self._checked_shock(shock)
         if not np.isfinite(shock).all():
             raise ParameterError("shock must be finite")
-        if self._book is None:
-            self._book = _CompiledBook(self)
-        total, floored = self._book.value(shock)
+        n = self._n
+        e = np.exp(self._offset + shock @ self._slope)
+        df = e[:n]
+        annuity = self._tau_segments @ df
+        floating = self._segments @ ((e[n:] - 1.0) * df)
+        total = float(self._swap_weight @ (floating - self._fixed * annuity))
+        floored = 0
+        if self._vol0 is not None:
+            vols = self._vol0 + shock[self._n_rates :]
+            floored = int(np.count_nonzero(vols < VOL_FLOOR))
+            np.maximum(vols, VOL_FLOOR, out=vols)
+            if self._swaptions:
+                sigmas = (self._vol_weights @ vols).tolist()
+                floating = floating.tolist()
+                annuity = annuity.tolist()
+                for (k, sqrt_t, strike, payer, notional), sigma in zip(self._swaptions, sigmas):
+                    forward = _checked_forward(floating[k], annuity[k])
+                    total += notional * annuity[k] * _black(forward, strike, sigma * sqrt_t, payer)
         self.call_count += 1
         self.floored_vol_count += floored
         return total

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -417,6 +418,17 @@ class TestMalformedInputs:
              "portfolio.json, trade 0: 'discount_curve' must be a curve name, got ['discount']"),
             ("unknown curve", "MissingCurveError: trade 1: curve 'libor' not in market"),
             ("market without surface", "trade 0: swaption pricing needs a vol surface"),
+            ("huge maturity", "portfolio.json, trade 0: swap term 1e+308y exceeds 100y"),
+            ("million-year term",
+             "portfolio.json, trade 0: swap term 999999.5y exceeds 100y"),
+            ("no whole period",
+             "portfolio.json, trade 0: maturity 0.500000001 is not a whole, positive "
+             "number of 0.5y periods from start 0.5"),
+            ("overflowing zero rate",
+             "market.json, curve 'forecast': log discounts -zero_rate * tenor overflow"),
+            ("infinite tenor",
+             "market.json, curve 'forecast': tenors must be finite, positive and strictly "
+             "increasing"),
         ],
     )
     def test_malformed_book_exits_2_before_any_pricer_call(
@@ -444,6 +456,17 @@ class TestMalformedInputs:
             portfolio["trades"][1]["underlying"]["forecast_curve"] = "libor"
         elif case == "market without surface":
             market["vol_surface"] = None
+        elif case == "huge maturity":
+            portfolio["trades"][0]["underlying"]["maturity"] = 1e308
+        elif case == "million-year term":
+            portfolio["trades"][0]["underlying"]["maturity"] = 1e6
+        elif case == "no whole period":
+            underlying = portfolio["trades"][0]["underlying"]
+            underlying["maturity"] = underlying["start"] + 1e-9
+        elif case == "overflowing zero rate":
+            market["curves"]["forecast"]["zero_rates"][-1] = 1e308
+        elif case == "infinite tenor":
+            market["curves"]["forecast"]["tenors"][-1] = math.inf
         else:
             portfolio["trades"][1]["type"] = "bond"
         (tmp_path / "portfolio.json").write_text(json.dumps(portfolio))

@@ -354,8 +354,8 @@ class TestCompiledBook:
     a hedged book can cancel to far below its terms.
     """
 
-    def _check(self, demo, shock):
-        pricer = shocked_pricer(list(demo.portfolio), demo.market)
+    def _check(self, demo, shock, market=None):
+        pricer = shocked_pricer(list(demo.portfolio), market or demo.market)
         try:
             want, gross, floored = _reference_value(pricer, shock)
         except ModelDomainError:
@@ -380,6 +380,25 @@ class TestCompiledBook:
     @settings(max_examples=60, deadline=None)
     def test_swaptions_book_with_floored_vols(self, rates, vols):
         self._check(_SWAPTIONS, np.concatenate([rates, vols]))
+
+    @pytest.mark.parametrize("demo", [_SWAPS, _SWAPTIONS], ids=["swaps", "swaptions"])
+    @given(
+        rates=arrays(float, 22, elements=st.floats(-0.006, 0.006)),
+        vols=arrays(float, 20, elements=st.floats(-0.6, 0.3)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_unread_curve_sorting_first(self, demo, rates, vols):
+        # No trade reads "aaa", and it sorts first, so every read curve sits
+        # at a non-zero offset of the shock. The swaps book gets the surface
+        # too: vol factors exist, but no swaption reads them.
+        aaa = ZeroCurve(tenors=np.array([1.0, 5.0]), zero_rates=np.array([0.01, 0.02]))
+        market = Market(curves={**demo.market.curves, "aaa": aaa},
+                        surface=_SWAPTIONS.market.surface)
+        shock = np.concatenate([rates, vols])
+        assert market_risk_factors(market)[0].name == "rate:aaa:1"
+        shocked, _ = shocked_pricer([], market).shocked_market(shock)
+        assert np.array_equal(shocked.curves["aaa"].zero_rates, aaa.zero_rates + rates[:2])
+        self._check(demo, shock, market)
 
     def test_times_past_the_last_tenor_and_off_the_vol_grid(self):
         curves = {
