@@ -271,9 +271,9 @@ def cmd_run(args) -> int:
             writer = csv.writer(fh)
             sources = ["brute"] + (["pca_repriced"] if "pca_repriced" in series else []) + ["slider"]
             writer.writerow(["label", *sources])
-            columns = [series[s] for s in sources]
-            for i, label in enumerate(inputs.scenarios.labels):
-                writer.writerow([label, *(repr(float(col[i])) for col in columns)])
+            writer.writerows(
+                zip(inputs.scenarios.labels, *(map(repr, series[s].tolist()) for s in sources))
+            )
     if args.save_slider:
         save_orthogonal_slider(result.slider, args.save_slider)
     for horizon, r in result.reports.items():

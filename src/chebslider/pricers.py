@@ -49,6 +49,9 @@ VOL_FLOOR = 1e-4
 # Longest swap term in years: past any traded swap (the demos stop at 30y),
 # and a schedule of at most 400 quarterly periods.
 MAX_SWAP_TERM = 100.0
+# Largest |zero rate| a market file may hold (100%). Shocked curves are not
+# bounded: a scenario may move a rate past it.
+MAX_ZERO_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -555,10 +558,15 @@ def load_market(path) -> Market:
         curves = {}
         for cid, c in doc["curves"].items():
             where = f", curve {cid!r}"
-            curves[cid] = ZeroCurve(
+            curves[cid] = curve = ZeroCurve(
                 tenors=np.asarray(c["tenors"], dtype=float),
                 zero_rates=np.asarray(c["zero_rates"], dtype=float),
             )
+            worst = max(curve.zero_rates.tolist(), key=abs)
+            if abs(worst) > MAX_ZERO_RATE:
+                raise ValueError(
+                    f"zero rate {worst!r} exceeds {MAX_ZERO_RATE:g} (100%) in magnitude"
+                )
         where = ", vol_surface"
         surf = doc.get("vol_surface")
         surface = None

@@ -658,12 +658,77 @@ def write_scenarios(scen: ScenarioSet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", *scen.factor_names])
-        for label, row in zip(scen.labels, scen.shocks):
-            writer.writerow([label, *(repr(float(v)) for v in row)])
+        writer.writerows(zip(scen.labels, *(map(repr, col) for col in scen.shocks.T.tolist())))
 
 
 def read_scenarios(path) -> ScenarioSet:
-    """Read a 10-day scenario CSV; malformed content raises ArgumentError naming file and line."""
+    """Read a 10-day scenario CSV; malformed content raises ArgumentError naming file and line.
+
+    A file without quotes whose rows are all as wide as the header and whose
+    shocks are all finite is parsed in C by one `np.loadtxt` pass. Any other
+    file goes to the line reader, which also accepts quoted labels and is the
+    only source of error messages.
+    """
+    scen = _read_plain_scenarios(path)
+    return scen if scen is not None else _read_scenarios_reference(path)
+
+
+# A line holding one of these goes to the line reader: a quote can hide a
+# comma or a line break from the fast path, and np.loadtxt strips the four
+# separator controls around a number where float() rejects them.
+_LINE_READER_CHARS = '"\x1c\x1d\x1e\x1f'
+_BLANK_LINES = ("\n", "\r\n", "\r")  # csv.reader yields [] for these; both paths skip them
+
+
+def _read_plain_scenarios(path) -> ScenarioSet | None:
+    """Fast path of `read_scenarios`; None sends the file to the line reader.
+
+    One cheap line pass collects the labels and checks that every row has
+    as many cells as the header, then `np.loadtxt` parses the shocks. A cell
+    is the text between two commas, as for csv.reader on a file without
+    quotes, and np.loadtxt parses a number with the C routine float() uses.
+    """
+    limit = csv.field_size_limit()  # csv.reader rejects a longer cell
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            first = fh.readline()
+            header = first.rstrip("\r\n").split(",")
+            if (
+                header[0] != "label"
+                or len(header) < 2
+                or len(set(header)) != len(header)
+                or len(first) > limit
+                or '"' in first
+            ):
+                return None
+            commas = len(header) - 1
+            labels = []
+            for line in fh:
+                if line in _BLANK_LINES:
+                    continue
+                if line.count(",") != commas or len(line) > limit:
+                    return None
+                for c in _LINE_READER_CHARS:
+                    if c in line:
+                        return None
+                labels.append(line[: line.index(",")])
+            if not labels:
+                return None
+            fh.seek(0)
+            fh.readline()
+            # comments=None: a label may start with "#"
+            shocks = np.loadtxt(
+                fh, dtype=float, delimiter=",", comments=None, usecols=range(1, commas + 1), ndmin=2
+            )
+        except ValueError:  # undecodable bytes, a cell np.loadtxt cannot parse
+            return None
+    if not np.isfinite(shocks).all():  # the line reader names the line
+        return None
+    return ScenarioSet(labels=tuple(labels), shocks=shocks, factor_names=tuple(header[1:]))
+
+
+def _read_scenarios_reference(path) -> ScenarioSet:
+    """The line reader: any CSV, including quoted labels; the first fault is named with its line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -679,28 +744,16 @@ def read_scenarios(path) -> ScenarioSet:
                     continue
                 if len(line) != len(header):
                     raise ValueError(f"{len(line)} cells, the header has {len(header)}")
+                row = [float(v) for v in line[1:]]
+                for name, cell, value in zip(header[1:], line[1:], row):
+                    if not math.isfinite(value):
+                        raise ValueError(f"shock {cell!r} for {name} is not finite")
                 labels.append(line[0])
-                rows.append([float(v) for v in line[1:]])
+                rows.append(row)
         except (ValueError, csv.Error) as exc:  # also a non-numeric cell, undecodable bytes
             raise ArgumentError(f"{path}, line {reader.line_num or 1}: {exc}") from None
     if not rows:
         raise ArgumentError(f"{path}: no scenario rows after the header")
-    shocks = np.asarray(rows, dtype=float)
-    if not np.isfinite(shocks).all():
-        raise ArgumentError(_non_finite_shock(path, header, shocks))
-    return ScenarioSet(labels=tuple(labels), shocks=shocks, factor_names=tuple(header[1:]))
-
-
-def _non_finite_shock(path, header, shocks: np.ndarray) -> str:
-    # Read the file again to find the line of the first non-finite shock;
-    # this runs only on failure, so a valid file costs no per-row bookkeeping.
-    row, col = np.argwhere(~np.isfinite(shocks))[0]
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        lines = (line for line in reader if line)
-        for _ in range(row + 2):  # the header, then scenarios 0..row
-            line = next(lines)
-        return (
-            f"{path}, line {reader.line_num}: shock {line[col + 1]!r} "
-            f"for {header[col + 1]} is not finite"
-        )
+    return ScenarioSet(
+        labels=tuple(labels), shocks=np.asarray(rows, dtype=float), factor_names=tuple(header[1:])
+    )

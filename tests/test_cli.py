@@ -295,6 +295,7 @@ class TestMalformedInputs:
         "case, message",
         [
             ("ragged row", "scenarios.csv, line 3: 40 cells, the header has 41"),
+            ("extra cell", "scenarios.csv, line 3: 42 cells, the header has 41"),
             ("text cell", "scenarios.csv, line 4: could not convert string to float: 'abc'"),
             ("block without name", "blocks.json: block 0 needs a 'name' string"),
             ("unknown factor", "blocks.json: block 1 ('vols'): not risk factors: ['rate:nope:1']"),
@@ -309,6 +310,8 @@ class TestMalformedInputs:
         doc = json.loads((swaptions_files / "blocks.json").read_text())
         if case == "ragged row":
             lines[2] = lines[2].rsplit(",", 1)[0]
+        elif case == "extra cell":
+            lines[2] += ",0.0"
         elif case == "text cell":
             lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
         elif case in ("inf cell", "nan cell"):
@@ -429,6 +432,8 @@ class TestMalformedInputs:
             ("infinite tenor",
              "market.json, curve 'forecast': tenors must be finite, positive and strictly "
              "increasing"),
+            ("absurd zero rate",
+             "market.json, curve 'forecast': zero rate -1e+300 exceeds 1 (100%) in magnitude"),
         ],
     )
     def test_malformed_book_exits_2_before_any_pricer_call(
@@ -467,6 +472,8 @@ class TestMalformedInputs:
             market["curves"]["forecast"]["zero_rates"][-1] = 1e308
         elif case == "infinite tenor":
             market["curves"]["forecast"]["tenors"][-1] = math.inf
+        elif case == "absurd zero rate":  # -zero_rate * tenor stays finite
+            market["curves"]["forecast"]["zero_rates"][-1] = -1e300
         else:
             portfolio["trades"][1]["type"] = "bond"
         (tmp_path / "portfolio.json").write_text(json.dumps(portfolio))

@@ -1,10 +1,13 @@
 """ES, KS, savings, synthetic history, horizons and the end-to-end run."""
 
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -32,6 +35,7 @@ from chebslider import (
     savings,
     shocked_pricer,
 )
+from chebslider import riskengine
 from chebslider.demo import swaps_demo, swaptions_demo
 from chebslider.errors import ConfigurationError
 from chebslider.riskengine import BlockLayout, kolmogorov_sf, read_scenarios, write_scenarios
@@ -438,6 +442,49 @@ class TestRunAnalysis:
         assert pricer.call_count == 1 + scen.count + 16 + 26
 
 
+def _read_outcome(read, path):
+    try:
+        scen = read(path)
+    except ArgumentError as exc:
+        return str(exc)
+    return scen.labels, scen.factor_names, scen.shocks.shape, scen.shocks.tobytes()
+
+
+# Files close to the format, with text where np.loadtxt could part from csv.reader
+# and float(): a label with "#", a quote, a comma or a line break other than
+# \n and \r; separator controls, underscores and non-ASCII digits around a
+# number; shocks that overflow, are not numbers, are -0.0 or subnormal;
+# ragged rows, blank and whitespace-only lines, CRLF and CR line ends.
+_LABELS = st.one_of(
+    *[st.sampled_from(["s0", "s1", "#s", "a b", ""])] * 3,
+    st.text(st.sampled_from(list('a#", \t\u2028\x85\x1c\r\x00')), max_size=3),
+)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_CELLS = st.one_of(
+    *[_FLOATS] * 8,
+    st.sampled_from(["-0.0", "5e-324", "2.225073858507201e-308", "1.7976931348623157e+308",
+                     " 1", "1 ", "\u20001", "+.5", "1."]),
+    st.sampled_from(["1_0", "\u0661", "nan", "inf", "-Infinity", "1e400", "\x1c1", "1\x1f",
+                     "", " ", "0x1p3", "abc", "1#"]),
+)
+_NAME = st.sampled_from(["x", "y", "z", "#w", "q r", "\u2028", '"n"'])
+
+
+@st.composite
+def _scenario_csv_text(draw):
+    names = draw(st.one_of(*[st.lists(_NAME, min_size=1, max_size=3, unique=True)] * 4,
+                           st.lists(_NAME, max_size=3)))
+    first = draw(st.sampled_from(["label"] * 9 + ["labels"]))
+    lines = [",".join([first, *names])]
+    for _ in range(draw(st.integers(1, 4))):
+        lines += draw(st.sampled_from([[]] * 5 + [[""], [" "], ["\t"]]))  # blank lines
+        width = len(names) + draw(st.sampled_from([0] * 8 + [1, -1]))
+        lines.append(",".join([draw(_LABELS), *(draw(_CELLS) for _ in range(max(width, 0)))]))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))  # the last line may lack its terminator
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 class TestScenarioCsv:
     def test_round_trip(self, tmp_path):
         demo = swaps_demo(scenario_count=25)
@@ -454,6 +501,60 @@ class TestScenarioCsv:
         path.write_text("nope,a,b\n1,2,3\n")
         with pytest.raises(ArgumentError):
             read_scenarios(path)
+
+    @pytest.mark.parametrize("demo", [swaps_demo, swaptions_demo], ids=["swaps", "swaptions"])
+    def test_desk_size_file_takes_the_loadtxt_path(self, tmp_path, monkeypatch, demo):
+        def line_reader(path):
+            raise AssertionError("the line reader ran on a valid file")
+
+        scen = generate_synthetic_history(demo().synthetic, 4)
+        path = tmp_path / "scen.csv"
+        write_scenarios(scen, path)
+        monkeypatch.setattr(riskengine, "_read_scenarios_reference", line_reader)
+        back = read_scenarios(path)
+        assert back.labels == scen.labels
+        assert back.factor_names == scen.factor_names
+        assert back.shocks.tobytes() == scen.shocks.tobytes()
+
+    @pytest.mark.parametrize(
+        "labels, line_reader_runs",
+        [(("#1", "# two", "3#"), False), (("a,b", 'say "hi"', "#c"), True)],
+        ids=["hash", "quoted"],
+    )
+    def test_label_round_trip(self, tmp_path, monkeypatch, labels, line_reader_runs):
+        runs, reference = [], riskengine._read_scenarios_reference
+
+        def line_reader(path):
+            runs.append(path)
+            return reference(path)
+
+        monkeypatch.setattr(riskengine, "_read_scenarios_reference", line_reader)
+        scen = ScenarioSet(labels=labels, shocks=np.arange(6.0).reshape(3, 2), factor_names=("x", "y"))
+        path = tmp_path / "scen.csv"
+        write_scenarios(scen, path)
+        back = read_scenarios(path)
+        assert back.labels == labels
+        assert np.array_equal(back.shocks, scen.shocks)
+        assert runs == ([path] if line_reader_runs else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_scenario_csv_text())
+    @example(text="label,a\nx,1_0\ny,\u0661\n")  # float() takes these, np.loadtxt does not
+    @example(text="label,a\nx,\x1c1\n")  # np.loadtxt strips \x1c, float() rejects it
+    @example(text="label,a,b\n#x,1,2\n")
+    @example(text='label,a,b\n"p,q",1,2\n')
+    @example(text="label,a,b\nx,1,2,3\n")
+    @example(text="label,a,b\n")
+    @example(text='label,"a"\nx,1\n')
+    @example(text="label,a\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
+    def test_fast_path_matches_line_reader(self, text):
+        """Same labels, names and shock bits as the line reader, or the same error."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scen.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _read_outcome(read_scenarios, path) == _read_outcome(
+                riskengine._read_scenarios_reference, path
+            )
 
 
 _NAMES = ("a1", "a2", "a3", "b1", "b2")
