@@ -69,7 +69,6 @@ from .pricers import (
 from .riskengine import (
     BrutePnl,
     EsReport,
-    RatioBacktestSeries,
     ScenarioSet,
     SyntheticBlock,
     SyntheticSpec,
@@ -80,8 +79,8 @@ from .riskengine import (
     expected_shortfall,
     generate_synthetic_history,
     ks_two_sample,
+    pla_test,
     pnl_distribution,
-    rolling_ratio_backtest,
     run_es_analysis,
     savings,
 )

@@ -30,13 +30,15 @@ from .errors import (
 from .orthopca import PcaBlockSpec, save_orthogonal_slider
 from .pricers import load_market, load_portfolio, save_market, save_portfolio, shocked_pricer
 from .riskengine import (
+    PLA_GREEN,
+    PLA_RED,
     BlockLayout,
     ScenarioSet,
     brute_pnl,
     es_tail_size,
     generate_synthetic_history,
+    pla_test,
     read_scenarios,
-    rolling_ratio_backtest,
     run_es_analysis,
     write_scenarios,
 )
@@ -73,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_source_args(p):
         p.add_argument("--synthetic", choices=["swaps", "swaptions"],
                        help="use a built-in synthetic demo setup")
-        p.add_argument("--seed", type=_int_from(0), default=0, help="synthetic history seed")
+        p.add_argument("--seed", type=_int_from(0), default=None,
+                       help="synthetic history seed (default 0)")
         p.add_argument("--scenario-count", type=_int_from(1), default=None,
                        help="override the synthetic scenario count")
         p.add_argument("--portfolio", help="portfolio JSON path")
@@ -112,10 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="semicolon-separated slider tuple patterns")
     sweep_p.add_argument("--out", required=True, help="output CSV path")
 
-    back_p = sub.add_parser("backtest", help="rolling mean/variance ratio series (10d only)")
+    back_p = sub.add_parser("backtest", help="FRTB P&L attribution test per window (10d only)")
     add_source_args(back_p)
     back_p.add_argument("--slider-tuple", default="1x*")
-    back_p.add_argument("--window", type=int, default=250, help="rolling window length")
+    back_p.add_argument("--window", type=_int_from(2), default=250,
+                        help="rolling window length in scenarios, at least 2")
     back_p.add_argument("--out", required=True, help="output CSV path")
 
     demo_p = sub.add_parser("demo", help="write demo fixture files")
@@ -159,14 +163,22 @@ def _load_inputs(args) -> _Inputs:
     """Load a demo or the input files, and check the options every command shares.
 
     Nothing here calls the pricer, so a bad input or option fails before
-    any brute-force work.
+    any brute-force work. An option the source would ignore is an error.
     """
     if args.synthetic:
+        runs, unused = "--synthetic runs", ("portfolio", "market", "scenarios", "blocks")
+    else:
+        runs, unused = "file-based runs", ("seed", "scenario_count")
+    given = ["--" + n.replace("_", "-") for n in unused if getattr(args, n) is not None]
+    if given:
+        raise ConfigurationError(f"{runs} do not use {', '.join(given)}")
+    if args.synthetic:
+        seed = 0 if args.seed is None else args.seed
         setup = demo_by_name(args.synthetic, args.scenario_count)
         portfolio, market = list(setup.portfolio), setup.market
-        scen = generate_synthetic_history(setup.synthetic, args.seed)
+        scen = generate_synthetic_history(setup.synthetic, seed)
         blocks_doc, where = setup.blocks_doc(), f"{setup.name} demo"
-        source = {"kind": "synthetic", "demo": args.synthetic, "seed": args.seed}
+        source = {"kind": "synthetic", "demo": args.synthetic, "seed": seed}
     else:
         files = {n: getattr(args, n) for n in ("portfolio", "market", "scenarios")}
         missing = [n for n, path in files.items() if not path]
@@ -277,10 +289,12 @@ def cmd_run(args) -> int:
     if args.save_slider:
         save_orthogonal_slider(result.slider, args.save_slider)
     for horizon, r in result.reports.items():
+        rel_err, corr = (
+            "n/a" if v is None else f"{v:.4f}" for v in (r.relative_error, r.correlation)
+        )
         print(
             f"{horizon}: es_brute={r.es_brute:.2f} es_slider={r.es_slider:.2f} "
-            f"rel_err={r.relative_error:.4f} savings={r.savings:.4f} "
-            f"corr={r.correlation:.4f} ks_p={r.ks_p_value:.4f}"
+            f"rel_err={rel_err} savings={r.savings:.4f} corr={corr} ks_p={r.ks_p_value:.4f}"
         )
     return 0
 
@@ -368,8 +382,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_backtest(args) -> int:
     inputs = _load_inputs(args)
-    if not 1 <= args.window <= inputs.scenarios.count:
-        raise ConfigurationError(f"window must be in 1..{inputs.scenarios.count}, got {args.window}")
+    if args.window > inputs.scenarios.count:
+        raise ConfigurationError(f"window {args.window} exceeds {inputs.scenarios.count} scenarios")
     spec = _pca_spec(args, inputs)
     config = _slider_config(args, args.slider_tuple, spec)
     out = _output_path(args.out)
@@ -379,36 +393,27 @@ def cmd_backtest(args) -> int:
         inputs.pricer, inputs.scenarios, inputs.base_shock, spec, config, brute, alpha=args.alpha
     )
     series = result.pnl[inputs.scenarios.horizon]
-    ratios = rolling_ratio_backtest(series["brute"], series["slider"], args.window)
-    labels = inputs.scenarios.labels
+    spearman, ks, zones = pla_test(series["brute"], series["slider"], args.window)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["window_start", "label", "mean_ratio", "mean_defined",
-             "variance_ratio", "variance_defined"]
-        )
-        for i in range(len(ratios)):
-            writer.writerow(
-                [
-                    i,
-                    labels[i],
-                    repr(float(ratios.mean_ratio[i])),
-                    int(ratios.mean_defined[i]),
-                    repr(float(ratios.variance_ratio[i])),
-                    int(ratios.variance_defined[i]),
-                ]
-            )
+        writer.writerow(["window_start", "label", "spearman", "ks", "zone"])
+        rho = ("" if np.isnan(v) else repr(v) for v in spearman.tolist())  # empty: undefined
+        writer.writerows(zip(range(len(zones)), inputs.scenarios.labels, rho,
+                             map(repr, ks.tolist()), zones.tolist()))
     meta = {
-        "window": ratios.window,
-        "formula": ratios.formula,
-        "series_length": len(ratios),
+        "window": args.window,
+        "series_length": len(zones),
         "hypothetical": "brute",
         "risk_theoretical": "slider",
+        "green": PLA_GREEN,
+        "red": PLA_RED,
+        "zones": {z: int(np.count_nonzero(zones == z)) for z in ("green", "amber", "red")},
     }
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {len(ratios)} windows to {out}")
+    counts = ", ".join(f"{n} {z}" for z, n in meta["zones"].items())
+    print(f"wrote {len(zones)} windows to {out}: {counts}")
     return 0
 
 

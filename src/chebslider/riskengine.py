@@ -4,13 +4,15 @@ Implements the benchmark protocol: price the portfolio on every
 historic shock (brute force), build an Orthogonal Chebyshev Slider from the
 10-day shocks, evaluate it on each liquidity horizon, and compare the two
 P&L distributions through ES relative error, call savings, correlation and a
-two-sample Kolmogorov-Smirnov test.
+two-sample Kolmogorov-Smirnov test; and run the FRTB P&L attribution test
+over rolling windows.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,6 @@ from .slider import SliderConfig
 __all__ = [
     "ScenarioSet",
     "EsReport",
-    "RatioBacktestSeries",
     "SyntheticBlock",
     "SyntheticSpec",
     "BlockLayout",
@@ -52,13 +53,15 @@ __all__ = [
     "ks_two_sample",
     "kolmogorov_sf",
     "savings",
-    "rolling_ratio_backtest",
+    "pla_test",
     "run_es_analysis",
     "write_scenarios",
     "read_scenarios",
 ]
 
-RATIO_FORMULA = "mean(rt)/mean(ht); var(rt, ddof=1)/var(ht, ddof=1)"
+# P&L attribution zones (BCBS d457, MAR32): green if both hold, red if either does, else amber
+PLA_GREEN = {"spearman_above": 0.80, "ks_below": 0.09}
+PLA_RED = {"spearman_below": 0.70, "ks_above": 0.12}
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,9 @@ class EsReport:
     horizon: str
     es_brute: float
     es_slider: float
-    relative_error: float
+    relative_error: float | None  # None: es_brute is 0 and es_slider is not
     savings: float
-    correlation: float
+    correlation: float | None  # None: a constant series
     ks_statistic: float
     ks_p_value: float
     pca_dims: tuple[int, ...]
@@ -115,21 +118,6 @@ class EsReport:
     build_calls: int
     incremental_calls: int
     clamped_evaluations: int
-
-
-@dataclass(frozen=True)
-class RatioBacktestSeries:
-    """Rolling ratio-of-statistics between risk-theoretical and hypothetical P&L."""
-
-    mean_ratio: np.ndarray
-    mean_defined: np.ndarray
-    variance_ratio: np.ndarray
-    variance_defined: np.ndarray
-    window: int
-    formula: str = RATIO_FORMULA
-
-    def __len__(self) -> int:
-        return self.mean_ratio.size
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +237,9 @@ class BlockLayout:
             horizons = entry.get("horizons", ["10d"])
             if not isinstance(horizons, list) or not all(isinstance(h, str) for h in horizons):
                 raise ConfigurationError(f"{at}: 'horizons' must be a list of tags")
+            for h in horizons:  # a tag names an output file, pnl_<tag>.csv
+                if not re.fullmatch(r"[A-Za-z0-9_-]+", h):
+                    raise ConfigurationError(f"{at}: horizon tag {h!r} is not [A-Za-z0-9_-]+")
             blocks.append(BlockDef(name, tuple(factors), k, tuple(horizons)))
         covered = [f for b in blocks for f in b.factors]
         if sorted(covered) != sorted(names):
@@ -475,44 +466,45 @@ def savings(build_calls: int, brute_calls: int) -> float:
     return max(0.0, 1.0 - build_calls / brute_calls)
 
 
-def rolling_ratio_backtest(hypothetical, risk_theoretical, window: int) -> RatioBacktestSeries:
-    """Rolling mean(rt)/mean(ht) and var(rt)/var(ht) over a sliding window.
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their mean rank."""
+    s = np.sort(x)
+    return (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right") + 1) / 2.0
 
-    Windows whose hypothetical denominator is zero are flagged undefined and
-    carry NaN.
+
+def _varies(x: np.ndarray) -> bool:
+    return bool(x.min() != x.max())
+
+
+def _pla_zones(spearman: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """MAR32 zone per window; a missing (NaN) Spearman is red."""
+    green = (spearman > PLA_GREEN["spearman_above"]) & (ks < PLA_GREEN["ks_below"])
+    red = np.isnan(spearman) | (spearman < PLA_RED["spearman_below"]) | (ks > PLA_RED["ks_above"])
+    return np.where(green, "green", np.where(red, "red", "amber"))
+
+
+def pla_test(hypothetical, risk_theoretical, window: int):
+    """FRTB P&L attribution test over each window of `window` consecutive days.
+
+    Returns arrays (spearman, ks, zone) by window start. Spearman is NaN where
+    either window is constant; zone is "green", "amber" or "red".
     """
     ht = np.asarray(hypothetical, dtype=float)
     rt = np.asarray(risk_theoretical, dtype=float)
     if ht.shape != rt.shape or ht.ndim != 1:
         raise ArgumentError("series must be equal-length vectors")
-    if window < 1:
-        raise ArgumentError(f"window must be >= 1, got {window}")
-    if window > ht.size:
-        raise ArgumentError(f"window {window} longer than series of length {ht.size}")
+    if not 2 <= window <= ht.size:
+        raise ArgumentError(f"window must be in 2..{ht.size}, got {window}")
     m = ht.size - window + 1
-    mean_ratio = np.full(m, np.nan)
-    mean_defined = np.zeros(m, dtype=bool)
-    var_ratio = np.full(m, np.nan)
-    var_defined = np.zeros(m, dtype=bool)
-    ddof = 1 if window > 1 else 0
+    spearman = np.full(m, np.nan)
+    ks = np.empty(m)
     for i in range(m):
         hw = ht[i : i + window]
         rw = rt[i : i + window]
-        mh = hw.mean()
-        if mh != 0.0:
-            mean_ratio[i] = rw.mean() / mh
-            mean_defined[i] = True
-        vh = hw.var(ddof=ddof)
-        if vh != 0.0:
-            var_ratio[i] = rw.var(ddof=ddof) / vh
-            var_defined[i] = True
-    return RatioBacktestSeries(
-        mean_ratio=mean_ratio,
-        mean_defined=mean_defined,
-        variance_ratio=var_ratio,
-        variance_defined=var_defined,
-        window=window,
-    )
+        ks[i] = ks_two_sample(hw, rw)[0]
+        if _varies(hw) and _varies(rw):
+            spearman[i] = correlation(_average_ranks(hw), _average_ranks(rw))
+    return spearman, ks, _pla_zones(spearman, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +557,9 @@ class RunResult:
     build_calls: int
 
 
-def _relative_error(es_brute: float, es_slider: float) -> float:
+def _relative_error(es_brute: float, es_slider: float) -> float | None:
     if es_brute == 0.0:
-        return math.inf if es_slider != 0.0 else 0.0
+        return None if es_slider != 0.0 else 0.0
     return abs(es_slider - es_brute) / abs(es_brute)
 
 
@@ -616,6 +608,7 @@ def run_es_analysis(
                 pricer, reconstruct_through(oslider, shocks_h), base_value
             )
 
+        varies = _varies(brute_h) and _varies(slider_pnl)
         es_b = expected_shortfall(brute_h, alpha)
         es_s = expected_shortfall(slider_pnl, alpha)
         d, p = ks_two_sample(brute_h, slider_pnl)
@@ -625,7 +618,7 @@ def run_es_analysis(
             es_slider=es_s,
             relative_error=_relative_error(es_b, es_s),
             savings=savings(horizon_build_calls, count),
-            correlation=correlation(brute_h, slider_pnl),
+            correlation=correlation(brute_h, slider_pnl) if varies else None,
             ks_statistic=d,
             ks_p_value=p,
             pca_dims=pca_dims,
@@ -689,7 +682,7 @@ def _read_plain_scenarios(path) -> ScenarioSet | None:
     quotes, and np.loadtxt parses a number with the C routine float() uses.
     """
     limit = csv.field_size_limit()  # csv.reader rejects a longer cell
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # -sig: skip a byte-order mark
         try:
             first = fh.readline()
             header = first.rstrip("\r\n").split(",")
@@ -729,7 +722,7 @@ def _read_plain_scenarios(path) -> ScenarioSet | None:
 
 def _read_scenarios_reference(path) -> ScenarioSet:
     """The line reader: any CSV, including quoted labels; the first fault is named with its line."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # -sig: skip a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -33,7 +33,8 @@ from chebslider.errors import (
     SamplingError,
     UnknownFactorError,
 )
-from chebslider.pricers import ShockedPortfolioPricer
+from chebslider.demo import swaps_demo
+from chebslider.pricers import ShockedPortfolioPricer, save_portfolio
 
 
 def run_cli(*args):
@@ -303,9 +304,12 @@ class TestMalformedInputs:
             ("nan cell", "scenarios.csv, line 4: shock 'nan' for rate:discount:0.5 is not finite"),
             ("header only", "scenarios.csv: no scenario rows after the header"),
             ("repeated column", "scenarios.csv, line 1: the header names a column twice"),
+            # the tag names an output file, pnl_<tag>.csv
+            ("horizon tag",
+             "blocks.json: block 1 ('vols'): horizon tag 'a/b' is not [A-Za-z0-9_-]+"),
         ],
     )
-    def test_malformed_file_exits_2(self, swaptions_files, tmp_path, case, message):
+    def test_malformed_file_exits_2(self, swaptions_files, tmp_path, pricer_calls, case, message):
         lines = (swaptions_files / "scenarios.csv").read_text().splitlines()
         doc = json.loads((swaptions_files / "blocks.json").read_text())
         if case == "ragged row":
@@ -328,6 +332,8 @@ class TestMalformedInputs:
             lines[0] = ",".join(names)
         elif case == "block without name":
             del doc["blocks"][0]["name"]
+        elif case == "horizon tag":
+            doc["blocks"][1]["horizons"] = ["10d", "a/b"]
         else:
             doc["blocks"][1]["factors"][0] = "rate:nope:1"
         scenarios, blocks = tmp_path / "scenarios.csv", tmp_path / "blocks.json"
@@ -338,6 +344,8 @@ class TestMalformedInputs:
         )
         assert code == 2
         assert _one_json_error(err)["message"].endswith(message)
+        assert pricer_calls["n"] == 0
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -347,6 +355,8 @@ class TestMalformedInputs:
             ["run", "--pca-dims", "3,30", "--out", "{tmp}/o"],
             ["backtest", "--pca-dims", "3", "--out", "{tmp}/r.csv"],
             ["backtest", "--window", "301", "--out", "{tmp}/r.csv"],
+            # Spearman needs two points
+            ["backtest", "--window", "1", "--out", "{tmp}/r.csv"],
             ["sweep", "--alpha", "1.5", "--dims", "4,20", "--tuples", "1x*;2,1x*",
              "--out", "{tmp}/s.csv"],
             # afile is a regular file, so no output can go below it
@@ -367,6 +377,7 @@ class TestMalformedInputs:
             ["backtest", "--points", "1", "--out", "{tmp}/r.csv"],
         ],
         ids=["run-alpha", "run-tuple", "run-dims", "backtest-dims", "backtest-window",
+             "backtest-window-1",
              "sweep-alpha", "run-out", "run-save-slider", "sweep-out", "backtest-out",
              "backtest-horizons", "run-seed", "demo-seed", "run-scenario-count",
              "demo-scenario-count", "run-points", "sweep-points",
@@ -384,6 +395,33 @@ class TestMalformedInputs:
         _one_json_error(err)
         assert pricer_calls["n"] == 0
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "afile"]
+
+    @pytest.mark.parametrize(
+        "command, source, message",
+        [
+            ("run", ["--synthetic", "swaps", "--scenario-count", "100", "--pca-dims", "3",
+                     "--scenarios", "fx/scenarios.csv", "--blocks", "/nonexistent.json"],
+             "--synthetic runs do not use --scenarios, --blocks"),
+            ("sweep", ["--synthetic", "swaps", "--dims", "3", "--portfolio", "p.json",
+                       "--market", "m.json"],
+             "--synthetic runs do not use --portfolio, --market"),
+            ("run", ["{files}", "--seed", "0"], "file-based runs do not use --seed"),
+            ("backtest", ["{files}", "--scenario-count", "20", "--window", "20"],
+             "file-based runs do not use --scenario-count"),
+        ],
+        ids=["synthetic-files", "synthetic-book", "files-seed", "files-scenario-count"],
+    )
+    def test_option_the_source_ignores_exits_2_before_any_pricer_call(
+        self, swaptions_files, tmp_path, pricer_calls, command, source, message
+    ):
+        files = _file_run_argv(swaptions_files, tmp_path / "o")[1:-2]
+        if source[0] == "{files}":
+            source = [*files, *source[1:]]
+        code, err = _run_quietly([command, *source, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert _one_json_error(err) == {"error": "ConfigurationError", "message": message}
+        assert pricer_calls["n"] == 0
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -787,31 +825,66 @@ class TestSweepInputsAndAccounting:
 
 class TestBacktest:
     def test_series_length_and_meta(self, tmp_path):
-        out = tmp_path / "ratios.csv"
+        out = tmp_path / "pla.csv"
         code = run_cli(
             "backtest", "--synthetic", "swaps", "--seed", "6", "--scenario-count", "300",
             "--pca-dims", "3", "--window", "250", "--out", str(out),
         )
         assert code == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) - 1 == 300 - 250 + 1
-        meta = json.loads((tmp_path / "ratios.csv.meta.json").read_text())
-        assert meta["window"] == 250
-        assert "mean(rt)/mean(ht)" in meta["formula"]
+        rows = _rows(out)
+        assert list(rows[0]) == ["window_start", "label", "spearman", "ks", "zone"]
+        assert [(r["window_start"], r["label"]) for r in rows] == [
+            (str(i), f"scn{i:05d}") for i in range(300 - 250 + 1)
+        ]
+        meta = json.loads((tmp_path / "pla.csv.meta.json").read_text())
+        assert meta == {
+            "window": 250,
+            "series_length": 51,
+            "hypothetical": "brute",
+            "risk_theoretical": "slider",
+            "green": {"spearman_above": 0.80, "ks_below": 0.09},
+            "red": {"spearman_below": 0.70, "ks_above": 0.12},
+            "zones": {"green": 51, "amber": 0, "red": 0},
+        }
 
-    def test_sane_ratios_near_one(self, tmp_path):
-        out = tmp_path / "ratios.csv"
-        run_cli(
-            "backtest", "--synthetic", "swaps", "--seed", "6", "--scenario-count", "400",
-            "--pca-dims", "3", "--window", "100", "--out", str(out),
+    @pytest.mark.parametrize(
+        "book, dims, tuple_, zones",
+        [
+            ("swaps", "3", "1x3", {"green": 151, "amber": 0, "red": 0}),
+            ("swaptions", "2,2", "1x4", {"green": 0, "amber": 0, "red": 151}),
+            ("swaptions", "5,5", "1x10", {"green": 33, "amber": 118, "red": 0}),
+        ],
+        ids=["swaps-3", "swaptions-2,2", "swaptions-5,5"],
+    )
+    def test_zones_mark_truncated_sliders(self, tmp_path, book, dims, tuple_, zones):
+        out = tmp_path / "pla.csv"
+        code = run_cli(
+            "backtest", "--synthetic", book, "--seed", "42", "--scenario-count", "400",
+            "--pca-dims", dims, "--slider-tuple", tuple_, "--window", "250", "--out", str(out),
         )
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        mean_ratios = [float(r["mean_ratio"]) for r in rows if r["mean_defined"] == "1"]
-        var_ratios = [float(r["variance_ratio"]) for r in rows if r["variance_defined"] == "1"]
-        assert all(0.5 < v < 2.0 for v in var_ratios)
-        assert len(mean_ratios) > 0
+        assert code == 0
+        rows = _rows(out)
+        assert {z: sum(r["zone"] == z for r in rows) for z in zones} == zones
+        assert json.loads((tmp_path / "pla.csv.meta.json").read_text())["zones"] == zones
+        for r in rows:
+            rho, ks = float(r["spearman"]), float(r["ks"])
+            green = rho > 0.80 and ks < 0.09
+            red = rho < 0.70 or ks > 0.12
+            assert r["zone"] == ("green" if green else "red" if red else "amber")
+
+    def test_constant_pnl_has_no_spearman_and_is_red(self, tmp_path):
+        fixtures = tmp_path / "fix"
+        run_cli("demo", "--which", "swaps", "--scenario-count", "60", "--out", str(fixtures))
+        portfolio = json.loads((fixtures / "portfolio.json").read_text())
+        for trade in portfolio["trades"]:
+            trade["notional"] = 0.0
+        (fixtures / "portfolio.json").write_text(json.dumps(portfolio))
+        out = tmp_path / "pla.csv"
+        argv = _file_run_argv(fixtures, out, "--window", "50")
+        assert main(["backtest", *argv[1:]]) == 0
+        rows = _rows(out)
+        assert len(rows) == 11
+        assert all(r["spearman"] == "" and r["zone"] == "red" for r in rows)
 
     def test_window_zero_exits_2(self, capsys, tmp_path):
         code = run_cli(
@@ -826,3 +899,42 @@ class TestBacktest:
             "--pca-dims", "3", "--window", "51", "--out", str(tmp_path / "r.csv"),
         )
         assert code == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+class TestUndefinedStatistics:
+    """A horizon that freezes every factor the book reads has a constant brute P&L."""
+
+    @pytest.fixture(scope="class")
+    def swaps_on_swaptions_files(self, tmp_path_factory):
+        fixtures = tmp_path_factory.mktemp("frozen")
+        assert run_cli(
+            "demo", "--which", "swaptions", "--scenario-count", "200", "--out", str(fixtures)
+        ) == 0
+        save_portfolio(list(swaps_demo().portfolio), fixtures / "portfolio.json")
+        return fixtures
+
+    def test_run_reports_null(self, swaps_on_swaptions_files, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _file_run(swaps_on_swaptions_files, out, "--pca-dims", "3,3") == 0
+        text = (out / "report.json").read_text()
+        report = json.loads(text, parse_constant=_reject_constant)
+        jsonschema.validate(report, load_schema())
+        frozen = report["horizons"]["60d"]
+        assert frozen["es_brute"] == 0.0 and frozen["es_slider"] != 0.0
+        assert frozen["correlation"] is None
+        assert frozen["relative_error"] is None
+        assert isinstance(report["horizons"]["10d"]["correlation"], float)
+        stdout = capsys.readouterr().out
+        assert "60d: " in stdout and "rel_err=n/a" in stdout and "corr=n/a" in stdout
+
+    def test_sweep_writes_empty_cells(self, swaps_on_swaptions_files, tmp_path):
+        out = tmp_path / "s.csv"
+        assert _file_sweep(swaps_on_swaptions_files, out, "--dims", "6") == 0
+        for row in _rows(out):
+            assert row["error"] == ""
+            empty = row["horizon"] == "60d"
+            assert (row["correlation"] == "", row["relative_error"] == "") == (empty, empty)

@@ -29,8 +29,8 @@ from chebslider import (
     fit_pca,
     generate_synthetic_history,
     ks_two_sample,
+    pla_test,
     pnl_distribution,
-    rolling_ratio_backtest,
     run_es_analysis,
     savings,
     shocked_pricer,
@@ -193,46 +193,78 @@ class TestSavings:
             savings(1, 0)
 
 
-class TestRollingRatioBacktest:
-    def test_identical_series_ratios_one(self):
+class TestPlaTest:
+    def test_identical_series_all_green(self):
         rng = np.random.default_rng(4)
         ht = rng.standard_normal(100) + 5.0
-        r = rolling_ratio_backtest(ht, ht, 20)
-        assert len(r) == 81
-        assert np.allclose(r.mean_ratio[r.mean_defined], 1.0)
-        assert np.allclose(r.variance_ratio[r.variance_defined], 1.0)
+        spearman, ks, zone = pla_test(ht, ht, 20)
+        assert len(zone) == 81
+        assert spearman == pytest.approx(np.ones(81), abs=1e-15)
+        assert (ks == 0.0).all()
+        assert (zone == "green").all()
 
-    def test_scaling_laws(self):
-        rng = np.random.default_rng(5)
-        ht = rng.standard_normal(60) + 2.0
-        r = rolling_ratio_backtest(ht, 2.0 * ht, 15)
-        assert np.allclose(r.mean_ratio[r.mean_defined], 2.0)
-        assert np.allclose(r.variance_ratio[r.variance_defined], 4.0)
+    def test_ranks_alone_do_not_pass(self):
+        # Same ranks, disjoint distributions: Spearman 1, KS 1.
+        ht = np.random.default_rng(5).standard_normal(60)
+        spearman, ks, zone = pla_test(ht, ht + 10.0, 15)
+        assert spearman == pytest.approx(np.ones(46), abs=1e-15)
+        assert (ks == 1.0).all()
+        assert (zone == "red").all()
 
-    def test_additive_noise_variance_ratio(self):
-        rng = np.random.default_rng(6)
-        ht = rng.standard_normal(4000)
-        rt = ht + rng.standard_normal(4000) * math.sqrt(0.01)
-        r = rolling_ratio_backtest(ht, rt, 2000)
-        assert np.nanmean(r.variance_ratio) == pytest.approx(1.01, abs=0.01)
-
-    def test_zero_denominator_flagged(self):
-        ht = np.zeros(10)
-        rt = np.ones(10)
-        r = rolling_ratio_backtest(ht, rt, 5)
-        assert not r.mean_defined.any()
-        assert not r.variance_defined.any()
-        assert np.isnan(r.mean_ratio).all()
+    def test_constant_window_has_no_spearman_and_is_red(self):
+        ramp = np.arange(10.0)
+        for ht, rt in ((np.zeros(10), ramp), (ramp, np.ones(10))):
+            spearman, ks, zone = pla_test(ht, rt, 5)
+            assert np.isnan(spearman).all()
+            assert (zone == "red").all()
+        spearman, _, zone = pla_test(np.r_[np.zeros(5), ramp[1:6]], np.r_[ramp[:5], ramp[:5]], 5)
+        assert np.isnan(spearman[0]) and not np.isnan(spearman[1:]).any()
+        assert zone[0] == "red"
 
     def test_window_bounds(self):
+        for window in (1, 6):
+            with pytest.raises(ArgumentError):
+                pla_test(np.arange(5.0), np.arange(5.0), window)
         with pytest.raises(ArgumentError):
-            rolling_ratio_backtest(np.ones(5), np.ones(5), 6)
-        with pytest.raises(ArgumentError):
-            rolling_ratio_backtest(np.ones(5), np.ones(5), 0)
+            pla_test(np.arange(5.0), np.arange(4.0), 2)
 
-    def test_series_length(self):
-        r = rolling_ratio_backtest(np.arange(3000.0) + 1, np.arange(3000.0) + 1, 250)
-        assert len(r) == 2751
+    def test_one_result_per_window_start(self):
+        spearman, ks, zone = pla_test(np.arange(3000.0), np.arange(3000.0), 250)
+        assert len(spearman) == len(ks) == len(zone) == 2751
+
+    def test_thresholds_are_strict(self):
+        # MAR32: green needs Spearman above 0.80 and KS below 0.09; red needs
+        # Spearman below 0.70 or KS above 0.12. Each bound itself is amber.
+        up, down = (lambda v: np.nextafter(v, 1.0)), (lambda v: np.nextafter(v, 0.0))
+        cases = [
+            (0.80, 0.05, "amber"), (up(0.80), 0.05, "green"),
+            (0.70, 0.05, "amber"), (down(0.70), 0.05, "red"),
+            (0.95, 0.09, "amber"), (0.95, down(0.09), "green"),
+            (0.95, 0.12, "amber"), (0.95, up(0.12), "red"),
+            (np.nan, 0.0, "red"),
+        ]
+        spearman, ks, want = (np.array(c) for c in zip(*cases))
+        assert list(riskengine._pla_zones(spearman.astype(float), ks.astype(float))) == list(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_scipy_with_ties(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        high = data.draw(st.sampled_from([1, 3, 50]), label="high")
+        series = st.lists(st.integers(-high, high), min_size=n, max_size=n)
+        ht = np.array(data.draw(series, label="ht"), dtype=float)
+        rt = np.array(data.draw(series, label="rt"), dtype=float)
+        window = data.draw(st.integers(2, n), label="window")
+        spearman, ks, zone = pla_test(ht, rt, window)
+        assert len(zone) == n - window + 1
+        for i in range(n - window + 1):
+            hw, rw = ht[i : i + window], rt[i : i + window]
+            assert ks[i] == stats.ks_2samp(hw, rw, method="asymp").statistic
+            if hw.min() == hw.max() or rw.min() == rw.max():
+                # spearmanr would warn, which the suite makes an error
+                assert np.isnan(spearman[i]) and zone[i] == "red"
+            else:
+                assert abs(spearman[i] - stats.spearmanr(hw, rw).statistic) <= 1e-12
 
 
 class TestSyntheticHistory:
@@ -537,6 +569,24 @@ class TestScenarioCsv:
         assert np.array_equal(back.shocks, scen.shocks)
         assert runs == ([path] if line_reader_runs else [])
 
+    @pytest.mark.parametrize("label", ["plain", '"quoted"'], ids=["loadtxt", "line-reader"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, label):
+        text = f"label,rate:discount:1,rate:discount:2\n{label},0.001,-2.5e-4\nd2,0,1e-3\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
+        want = read_scenarios(plain)
+        if label == "plain":  # a quoted label sends both files to the line reader
+
+            def line_reader(path):
+                raise AssertionError("the line reader ran on a plain file")
+
+            monkeypatch.setattr(riskengine, "_read_scenarios_reference", line_reader)
+        got = read_scenarios(bom)
+        assert (got.labels, got.factor_names) == (want.labels, want.factor_names)
+        assert got.shocks.tobytes() == want.shocks.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(text=_scenario_csv_text())
     @example(text="label,a\nx,1_0\ny,\u0661\n")  # float() takes these, np.loadtxt does not
@@ -545,6 +595,7 @@ class TestScenarioCsv:
     @example(text='label,a,b\n"p,q",1,2\n')
     @example(text="label,a,b\nx,1,2,3\n")
     @example(text="label,a,b\n")
+    @example(text="\ufefflabel,a,b\nx,1,2\n")
     @example(text='label,"a"\nx,1\n')
     @example(text="label,a\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
     def test_fast_path_matches_line_reader(self, text):
@@ -589,6 +640,10 @@ class TestBlockLayout:
             ([{"name": "x", "factors": list(_NAMES), "k": 0}], "'k' must be an integer in 1..5"),
             ([{"name": "x", "factors": list(_NAMES), "horizons": "60d"}], "'horizons' must"),
             ([{"name": "x", "factors": ["a1", "a2"]}], "cover each of the 5 risk factors"),
+            ([{"name": "x", "factors": list(_NAMES), "horizons": ["10d", "a/b"]}],
+             "horizon tag 'a/b' is not"),
+            ([{"name": "x", "factors": list(_NAMES), "horizons": ["60d\n"]}],
+             "horizon tag '60d\\\\n' is not"),
         ],
     )
     def test_malformed_blocks_name_the_block(self, blocks, message):
