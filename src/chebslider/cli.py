@@ -35,7 +35,6 @@ from .riskengine import (
     BlockLayout,
     ScenarioSet,
     brute_pnl,
-    es_tail_size,
     generate_synthetic_history,
     pla_test,
     read_scenarios,
@@ -64,6 +63,17 @@ def _int_from(low: int):
     return parse
 
 
+def _alpha(text: str) -> float:
+    """argparse type: an ES confidence level in (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
+_alpha.__name__ = "float"  # argparse names the type in "invalid float value" errors
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chebslider",
@@ -89,15 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "it); ignored by sweep")
         p.add_argument("--points", type=_int_from(2), default=5,
                        help="Chebyshev points per slide dimension, at least 2")
-        p.add_argument("--alpha", type=float, default=0.975, help="ES confidence level")
 
-    def add_horizons_arg(p):
+    def add_es_args(p):  # not backtest's: it reports no ES and reads the 10d series only
+        p.add_argument("--alpha", type=_alpha, default=0.975, help="ES confidence level")
         p.add_argument("--horizons", default=None,
                        help="comma-separated liquidity horizons (default: all defined)")
 
     run_p = sub.add_parser("run", help="one brute-vs-slider ES comparison")
     add_source_args(run_p)
-    add_horizons_arg(run_p)
+    add_es_args(run_p)
     run_p.add_argument("--slider-tuple", default="1x*",
                        help="slide dimensions, e.g. '1,1,1', '1x20', '3,1x17' or '3,1x*'")
     run_p.add_argument("--diagnostic", action="store_true",
@@ -108,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="grid of PCA dims x slider tuples")
     add_source_args(sweep_p)
-    add_horizons_arg(sweep_p)
+    add_es_args(sweep_p)
     sweep_p.add_argument("--dims", required=True,
                          help="comma-separated total PCA dims, e.g. '3,5,10,20'")
     sweep_p.add_argument("--tuples", default="1x*;2,1x*;3,1x*",
@@ -211,7 +221,6 @@ def _load_inputs(args) -> _Inputs:
     if blocks_doc is None:  # one block of every factor, no default k
         blocks_doc = {"blocks": [{"name": "all", "factors": list(names)}]}
     layout = BlockLayout.from_doc(blocks_doc, names, where)
-    es_tail_size(scen.count, args.alpha)  # checks alpha
     return _Inputs(pricer, scen, np.zeros(len(names)), layout, source)
 
 
@@ -390,7 +399,7 @@ def cmd_backtest(args) -> int:
     meta_path = _output_path(out.with_suffix(out.suffix + ".meta.json"))
     brute = brute_pnl(inputs.pricer, inputs.scenarios, inputs.base_shock)
     result = run_es_analysis(
-        inputs.pricer, inputs.scenarios, inputs.base_shock, spec, config, brute, alpha=args.alpha
+        inputs.pricer, inputs.scenarios, inputs.base_shock, spec, config, brute
     )
     series = result.pnl[inputs.scenarios.horizon]
     spearman, ks, zones = pla_test(series["brute"], series["slider"], args.window)

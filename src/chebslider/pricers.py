@@ -264,8 +264,11 @@ def par_swap_rate(trade: SwapTrade, curves: dict[str, ZeroCurve]) -> float:
     return float_pv / annuity
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 def _checked_forward(float_pv: float, annuity: float) -> float:
@@ -364,14 +367,16 @@ class ShockedPortfolioPricer:
     increments call_count by one.
 
     The constructor checks every trade against the market, naming the trade,
-    and compiles the book into fixed matrices over the shock. Zero rates are
-    affine in the shock and log discounts are linear in the zero rates, so
-    the log discount at every payment time, and the log forward growth over
-    every accrual period, is one row of an affine map of the shock. Leg sums
-    are segment matmuls over those rows. Swaption vols are shocked and
-    floored on the grid, then interpolated with fixed bilinear weights;
-    Black-76 runs per swaption. shocked_market plus price_trade is the
-    reference path the compiled valuation is tested against.
+    and compiles the book into an exponent map and a leg matrix. Zero rates
+    are affine in the shock and log discounts are linear in the zero rates,
+    so every discount factor, and every growth x discount factor of an
+    accrual period, is the exp of one column of an affine map of the shock:
+    one column per curve and time, however many trades share it. The legs
+    are linear in those exps: row 0 of the leg matrix is the swaps' total,
+    then come each swaption's annuity and float leg. Swaption vols are
+    shocked and floored on the grid, then interpolated with fixed bilinear
+    weights; Black-76 runs per swaption. shocked_market plus price_trade is
+    the reference path the compiled valuation is tested against.
     """
 
     def __init__(self, portfolio, market: Market):
@@ -388,18 +393,20 @@ class ShockedPortfolioPricer:
         self._curve_slices = {cid: slice(a, b) for cid, a, b in zip(cids, ends, ends[1:])}
         self._n_rates = n_rates = ends[-1]
 
-        swaps: list[SwapTrade] = []
-        is_swap: list[bool] = []
-        self._swaptions: list[tuple[int, float, float, bool, float]] = []
+        # An exponent column is keyed by its log as (sign, curve, time) terms:
+        # a discount factor is one term, a growth x discount factor three. A
+        # single-curve period's growth x discount is the discount factor at
+        # its start, so it shares that column.
+        columns: dict[tuple, int] = {}
+        entries: list[tuple[int, int, float]] = []  # (leg row, column, coefficient)
+        self._swaptions: list[tuple[float, float, bool, float]] = []
         vol_weights = []
         for i, trade in enumerate(self.portfolio):
-            is_swap.append(isinstance(trade, SwapTrade))
             if isinstance(trade, SwaptionTrade):
                 if surface is None:
                     raise ConfigurationError(f"trade {i}: swaption pricing needs a vol surface")
                 self._swaptions.append(
-                    (i, math.sqrt(trade.expiry), trade.strike, trade.payer,
-                     trade.underlying.notional)
+                    (math.sqrt(trade.expiry), trade.strike, trade.payer, trade.underlying.notional)
                 )
                 i0, i1, wi = _bracket(surface.expiries, trade.expiry)
                 j0, j1, wj = _bracket(surface.tenors, trade.tenor)
@@ -409,47 +416,49 @@ class ShockedPortfolioPricer:
                 grid[i1, j0] += wi * (1 - wj)
                 grid[i1, j1] += wi * wj
                 vol_weights.append(grid.ravel())
-                trade = trade.underlying
-            elif not isinstance(trade, SwapTrade):
+                swap = trade.underlying
+            elif isinstance(trade, SwapTrade):
+                swap = trade
+            else:
                 raise ArgumentError(f"trade {i}: unknown trade type {type(trade).__name__}")
-            for cid in (trade.discount_curve, trade.forecast_curve):
+            d, f = swap.discount_curve, swap.forecast_curve
+            for cid in (d, f):
                 if cid not in market.curves:
                     raise MissingCurveError(f"trade {i}: curve {cid!r} not in market")
-            swaps.append(trade)
+            times = swap.payment_times.tolist()
+            for p, t in zip([swap.start, *times[:-1]], times):
+                df = columns.setdefault(((1.0, d, t),), len(columns))
+                gdf = columns.setdefault(
+                    ((1.0, d, p),) if f == d else ((1.0, f, p), (-1.0, f, t), (1.0, d, t)),
+                    len(columns),
+                )
+                if swap is trade:  # value = weight * (float leg - fixed rate * annuity)
+                    w = swap.notional if swap.payer else -swap.notional
+                    entries += [(0, df, w * (-1.0 - swap.fixed_rate * (t - p))), (0, gdf, w)]
+                else:  # annuity and float leg of swaption k
+                    k = 2 * len(self._swaptions) - 1
+                    entries += [(k, df, t - p), (k + 1, df, -1.0), (k + 1, gdf, 1.0)]
 
+        terms: dict[str, list[tuple[int, float, float]]] = {}
+        for key, j in columns.items():
+            for sign, cid, t in key:
+                terms.setdefault(cid, []).append((j, sign, t))
+        rows = np.zeros((len(columns), n_rates))
+        for cid, cid_terms in terms.items():
+            j, sign, t = (np.array(v) for v in zip(*cid_terms))
+            w = _log_discount_weights(market.curves[cid], t) * sign[:, None]
+            np.add.at(rows[:, self._curve_slices[cid]], j, w)
         rates0 = np.concatenate([np.empty(0), *(market.curves[cid].zero_rates for cid in cids)])
-
-        def weights(cid: str, t: np.ndarray) -> np.ndarray:
-            w = np.zeros((t.size, n_rates))
-            w[:, self._curve_slices[cid]] = _log_discount_weights(market.curves[cid], t)
-            return w
-
-        times = [s.payment_times for s in swaps]
-        prevs = [np.concatenate(([s.start], t[:-1])) for s, t in zip(swaps, times)]
-        log_discount = [weights(s.discount_curve, t) for s, t in zip(swaps, times)]
-        log_growth = [
-            weights(s.forecast_curve, p) - weights(s.forecast_curve, t)
-            for s, t, p in zip(swaps, times, prevs)
-        ]
-        rows = np.vstack([np.empty((0, n_rates)), *log_discount, *log_growth])
-        self._n = rows.shape[0] // 2
         self._offset = rows @ rates0
-        # Full width, with zero rows for the vol factors: shock[:n_rates] @ rows.T
-        # would round some valuations differently in the last bits.
-        self._slope = np.zeros((self.n_factors, rows.shape[0]))
+        # Full width, with zero rows for the vol factors, so a valuation
+        # takes no slice of the shock.
+        self._slope = np.zeros((self.n_factors, len(columns)))
         self._slope[:n_rates] = rows.T
 
-        tau = np.concatenate([np.empty(0), *times]) - np.concatenate([np.empty(0), *prevs])
-        counts = [t.size for t in times]
-        self._segments = np.zeros((len(swaps), self._n))
-        self._segments[np.repeat(np.arange(len(swaps)), counts), np.arange(self._n)] = 1.0
-        self._tau_segments = self._segments * tau
-
-        # Swaps: value = weight * (float leg - fixed rate * annuity).
-        self._fixed = np.array([s.fixed_rate for s in swaps]) * is_swap
-        self._swap_weight = np.array(
-            [s.notional if s.payer else -s.notional for s in swaps]
-        ) * is_swap
+        self._legs = np.zeros((1 + 2 * len(self._swaptions), len(columns)))
+        if entries:
+            r, c, v = zip(*entries)
+            np.add.at(self._legs, (np.array(r), np.array(c)), v)
         self._vol0 = None if surface is None else surface.vols.ravel()
         self._vol_weights = np.array(vol_weights)
 
@@ -489,12 +498,8 @@ class ShockedPortfolioPricer:
         shock = self._checked_shock(shock)
         if not np.isfinite(shock).all():
             raise ParameterError("shock must be finite")
-        n = self._n
-        e = np.exp(self._offset + shock @ self._slope)
-        df = e[:n]
-        annuity = self._tau_segments @ df
-        floating = self._segments @ ((e[n:] - 1.0) * df)
-        total = float(self._swap_weight @ (floating - self._fixed * annuity))
+        legs = (self._legs @ np.exp(self._offset + shock @ self._slope)).tolist()
+        total = legs[0]
         floored = 0
         if self._vol0 is not None:
             vols = self._vol0 + shock[self._n_rates :]
@@ -502,11 +507,11 @@ class ShockedPortfolioPricer:
             np.maximum(vols, VOL_FLOOR, out=vols)
             if self._swaptions:
                 sigmas = (self._vol_weights @ vols).tolist()
-                floating = floating.tolist()
-                annuity = annuity.tolist()
-                for (k, sqrt_t, strike, payer, notional), sigma in zip(self._swaptions, sigmas):
-                    forward = _checked_forward(floating[k], annuity[k])
-                    total += notional * annuity[k] * _black(forward, strike, sigma * sqrt_t, payer)
+                for (sqrt_t, strike, payer, notional), sigma, annuity, floating in zip(
+                    self._swaptions, sigmas, legs[1::2], legs[2::2]
+                ):
+                    forward = _checked_forward(floating, annuity)
+                    total += notional * annuity * _black(forward, strike, sigma * sqrt_t, payer)
         self.call_count += 1
         self.floored_vol_count += floored
         return total

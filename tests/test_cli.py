@@ -375,13 +375,15 @@ class TestMalformedInputs:
             ["run", "--points", "1", "--out", "{tmp}/o"],
             ["sweep", "--points", "1", "--dims", "20", "--out", "{tmp}/s.csv"],
             ["backtest", "--points", "1", "--out", "{tmp}/r.csv"],
+            # no output of backtest depends on alpha
+            ["backtest", "--alpha", "0.5", "--out", "{tmp}/r.csv"],
         ],
         ids=["run-alpha", "run-tuple", "run-dims", "backtest-dims", "backtest-window",
              "backtest-window-1",
              "sweep-alpha", "run-out", "run-save-slider", "sweep-out", "backtest-out",
              "backtest-horizons", "run-seed", "demo-seed", "run-scenario-count",
              "demo-scenario-count", "run-points", "sweep-points",
-             "backtest-points"],
+             "backtest-points", "backtest-alpha"],
     )
     def test_bad_option_exits_2_before_any_pricer_call(self, tmp_path, pricer_calls, argv):
         (tmp_path / "afile").write_text("")

@@ -1,6 +1,7 @@
 """Reference pricers: curves, swaps, Black swaptions, shock application."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -339,6 +340,50 @@ _SWAPS = swaps_demo()
 _SWAPTIONS = swaptions_demo()
 
 
+def _mixed_book():
+    """Swaps and swaptions on three curves whose payment dates coincide.
+
+    Swaption 0 pays on the dates of swap 0 from 2.5y, on the same curves;
+    swap 1 pays on those dates too, but discounts on "ois". Swaption 1 and
+    the single-curve forward-start swap 2 pay yearly from 2y, both
+    discounted on "ois".
+    """
+    curves = {
+        "discount": ZeroCurve(tenors=np.array([1.0, 2.0, 5.0, 10.0]),
+                              zero_rates=np.array([0.025, 0.027, 0.03, 0.031])),
+        "forecast": ZeroCurve(tenors=np.array([1.0, 3.0, 7.0]),
+                              zero_rates=np.array([0.03, 0.032, 0.035])),
+        "ois": ZeroCurve(tenors=np.array([0.5, 2.0, 5.0, 10.0]),
+                         zero_rates=np.array([0.02, 0.022, 0.025, 0.027])),
+    }
+    surface = VolSurface(expiries=np.array([0.5, 1.0, 3.0]), tenors=np.array([1.0, 5.0, 10.0]),
+                         vols=np.array([[0.35, 0.3, 0.28], [0.33, 0.29, 0.27],
+                                        [0.3, 0.27, 0.25]]))
+    book = [
+        SwapTrade(notional=1e6, fixed_rate=0.01, maturity=6.0, frequency=0.5, payer=True),
+        SwapTrade(notional=2e6, fixed_rate=0.045, maturity=5.0, frequency=0.5, payer=False,
+                  discount_curve="ois", start=2.0),
+        SwapTrade(notional=1.5e6, fixed_rate=0.015, maturity=7.0, frequency=1.0, payer=True,
+                  discount_curve="ois", forecast_curve="ois", start=1.0),
+        SwaptionTrade(
+            expiry=2.0,
+            underlying=SwapTrade(notional=1e6, fixed_rate=0.03, maturity=5.0, frequency=0.5,
+                                 payer=True, start=2.0),
+            strike=0.03, payer=True,
+        ),
+        SwaptionTrade(
+            expiry=1.0,
+            underlying=SwapTrade(notional=-1e6, fixed_rate=0.028, maturity=6.0, frequency=1.0,
+                                 payer=False, start=1.0, discount_curve="ois"),
+            strike=0.028, payer=False,
+        ),
+    ]
+    return SimpleNamespace(portfolio=book, market=Market(curves=curves, surface=surface))
+
+
+_MIXED = _mixed_book()
+
+
 def _reference_value(pricer, shock):
     """Trade-by-trade value on the shocked market objects, and its gross size."""
     market, floored = pricer.shocked_market(shock)
@@ -399,6 +444,36 @@ class TestCompiledBook:
         shocked, _ = shocked_pricer([], market).shocked_market(shock)
         assert np.array_equal(shocked.curves["aaa"].zero_rates, aaa.zero_rates + rates[:2])
         self._check(demo, shock, market)
+
+    @given(
+        rates=arrays(float, 11, elements=st.floats(-0.006, 0.006)),
+        vols=arrays(float, 9, elements=st.floats(-0.3, 0.3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_book_with_shared_payment_dates(self, rates, vols):
+        self._check(_MIXED, np.concatenate([rates, vols]))
+
+    @pytest.mark.parametrize("demo", [_SWAPS, _SWAPTIONS, _MIXED],
+                             ids=["swaps", "swaptions", "mixed"])
+    def test_exponent_columns_are_distinct(self, demo):
+        pricer = shocked_pricer(list(demo.portfolio), demo.market)
+        columns = np.vstack([pricer._offset, pricer._slope])
+        assert np.unique(columns, axis=1).shape == columns.shape
+        assert pricer._legs.shape == (1 + 2 * len(pricer._swaptions), columns.shape[1])
+
+    def test_trades_share_exponent_columns(self):
+        pricer = shocked_pricer(list(_SWAPS.portfolio), _SWAPS.market)
+        periods = sum(t.payment_times.size for t in _SWAPS.portfolio)
+        assert pricer._slope.shape[1] < 2 * periods
+
+    def test_negative_forward_raises_uncounted(self):
+        pricer = shocked_pricer(list(_SWAPTIONS.portfolio), _SWAPTIONS.market)
+        down = np.zeros(40)
+        down[:20] = -0.05
+        with pytest.raises(ModelDomainError, match=r"^forward swap rate"):
+            pricer(down)
+        assert pricer.call_count == 0
+        assert pricer.floored_vol_count == 0
 
     def test_times_past_the_last_tenor_and_off_the_vol_grid(self):
         curves = {

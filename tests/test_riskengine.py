@@ -57,6 +57,11 @@ class TestExpectedShortfall:
     def test_all_equal(self):
         assert expected_shortfall(np.full(40, 3.5), 0.975) == -3.5
 
+    def test_all_zero_tail_is_positive_zero(self):
+        es = expected_shortfall(np.zeros(40), 0.975)
+        assert es == 0.0
+        assert math.copysign(1.0, es) == 1.0
+
     def test_tail_size_250(self):
         assert es_tail_size(250, 0.975) == 7
 
