@@ -375,14 +375,19 @@ class ShockedPortfolioPricer:
     are linear in those exps: row 0 of the leg matrix is the swaps' total,
     then come each swaption's annuity and float leg. Swaption vols are
     shocked and floored on the grid, then interpolated with fixed bilinear
-    weights; Black-76 runs per swaption. shocked_market plus price_trade is
-    the reference path the compiled valuation is tested against.
+    weights; Black-76 is inlined in a loop over the swaptions, and _black is
+    its bit-for-bit reference. shocked_market plus price_trade is the
+    reference path the compiled valuation is tested against.
+
+    A shock's finiteness is tested on the sum of its Python floats, before
+    any numpy arithmetic on it; numpy's exact test confirms a non-finite sum.
     """
 
     def __init__(self, portfolio, market: Market):
         self.portfolio = list(portfolio)
         self.market = market
         self.factors = market_risk_factors(market)
+        self._shock_shape = (len(self.factors),)
         self.call_count = 0
         self.floored_vol_count = 0
         surface = market.surface
@@ -399,14 +404,16 @@ class ShockedPortfolioPricer:
         # its start, so it shares that column.
         columns: dict[tuple, int] = {}
         entries: list[tuple[int, int, float]] = []  # (leg row, column, coefficient)
-        self._swaptions: list[tuple[float, float, bool, float]] = []
+        # Per swaption (sqrt(expiry), strike, w, w * notional / 2), w = +1 payer, -1 receiver.
+        self._swaptions: list[tuple[float, float, float, float]] = []
         vol_weights = []
         for i, trade in enumerate(self.portfolio):
             if isinstance(trade, SwaptionTrade):
                 if surface is None:
                     raise ConfigurationError(f"trade {i}: swaption pricing needs a vol surface")
+                w = 1.0 if trade.payer else -1.0
                 self._swaptions.append(
-                    (math.sqrt(trade.expiry), trade.strike, trade.payer, trade.underlying.notional)
+                    (math.sqrt(trade.expiry), trade.strike, w, 0.5 * w * trade.underlying.notional)
                 )
                 i0, i1, wi = _bracket(surface.expiries, trade.expiry)
                 j0, j1, wj = _bracket(surface.tenors, trade.tenor)
@@ -472,10 +479,8 @@ class ShockedPortfolioPricer:
 
     def _checked_shock(self, shock) -> np.ndarray:
         shock = np.asarray(shock, dtype=float)
-        if shock.shape != (self.n_factors,):
-            raise ArgumentError(
-                f"shock of shape {shock.shape}, expected ({self.n_factors},)"
-            )
+        if shock.shape != self._shock_shape:
+            raise ArgumentError(f"shock of shape {shock.shape}, expected {self._shock_shape}")
         return shock
 
     def shocked_market(self, shock) -> tuple[Market, int]:
@@ -495,8 +500,12 @@ class ShockedPortfolioPricer:
         return Market(curves=curves, surface=surface), floored
 
     def __call__(self, shock) -> float:
-        shock = self._checked_shock(shock)
-        if not np.isfinite(shock).all():
+        shock = np.asarray(shock, dtype=float)
+        if shock.shape != self._shock_shape:
+            self._checked_shock(shock)  # raises, with the one shape message
+        # A float sum is non-finite whenever a term is; the exact test runs
+        # only then, so a finite shock whose sum overflows is still priced.
+        if not math.isfinite(sum(shock.tolist())) and not np.isfinite(shock).all():
             raise ParameterError("shock must be finite")
         legs = (self._legs @ np.exp(self._offset + shock @ self._slope)).tolist()
         total = legs[0]
@@ -504,14 +513,27 @@ class ShockedPortfolioPricer:
         if self._vol0 is not None:
             vols = self._vol0 + shock[self._n_rates :]
             floored = int(np.count_nonzero(vols < VOL_FLOOR))
-            np.maximum(vols, VOL_FLOOR, out=vols)
+            if floored:
+                np.maximum(vols, VOL_FLOOR, out=vols)
             if self._swaptions:
+                # Black-76 as _black computes it, with its 1/2 and the payer
+                # sign moved into half_wn: both scalings are exact, so the
+                # value is bit for bit the reference's. std > 0, since vols
+                # are floored and expiries positive.
+                erf, log, sqrt2 = math.erf, math.log, _SQRT2
                 sigmas = (self._vol_weights @ vols).tolist()
-                for (sqrt_t, strike, payer, notional), sigma, annuity, floating in zip(
+                for (sqrt_t, strike, w, half_wn), sigma, annuity, floating in zip(
                     self._swaptions, sigmas, legs[1::2], legs[2::2]
                 ):
-                    forward = _checked_forward(floating, annuity)
-                    total += notional * annuity * _black(forward, strike, sigma * sqrt_t, payer)
+                    forward = floating / annuity
+                    if forward <= 0.0:
+                        _checked_forward(floating, annuity)  # raises
+                    std = sigma * sqrt_t
+                    d1 = (log(forward / strike) + 0.5 * std * std) / std
+                    total += half_wn * annuity * (
+                        forward * (1.0 + erf(w * d1 / sqrt2))
+                        - strike * (1.0 + erf(w * (d1 - std) / sqrt2))
+                    )
         self.call_count += 1
         self.floored_vol_count += floored
         return total

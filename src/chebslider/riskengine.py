@@ -370,7 +370,7 @@ def pnl_distribution(evaluator, shocks: np.ndarray, base_value: float) -> np.nda
     out = np.empty(len(shocks))
     # Overflow on the way to a non-finite value is reported, with its
     # scenario, by the check below. One errstate covers the whole loop:
-    # entering one costs about 2 us, near a quarter of a swaps valuation.
+    # entering one costs about 2 us, a third of a ~6 us swaps valuation.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, row in enumerate(shocks):
             try:

@@ -1,6 +1,7 @@
 """Reference pricers: curves, swaps, Black swaptions, shock application."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +36,8 @@ from chebslider import (
 )
 from chebslider.pricers import (
     VOL_FLOOR,
+    _black,
+    _checked_forward,
     load_market,
     load_portfolio,
     save_market,
@@ -307,8 +310,11 @@ class TestShockedPricer:
     def test_wrong_shock_length(self):
         demo = swaps_demo()
         pricer = shocked_pricer(list(demo.portfolio), demo.market)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError) as called:
             pricer(np.zeros(3))
+        with pytest.raises(ArgumentError) as shocked:
+            pricer.shocked_market(np.zeros(3))
+        assert str(called.value) == str(shocked.value) == "shock of shape (3,), expected (20,)"
 
     def test_factor_ordering_deterministic(self):
         demo = swaptions_demo()
@@ -533,6 +539,68 @@ class TestCompiledBook:
         with pytest.raises(ParameterError):
             pricer(shock)
         assert pricer.call_count == 0
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("at", [0, 19, 25], ids=["first-rate", "last-rate", "vol"])
+    def test_non_finite_shock_rejected_without_warning(self, value, at):
+        pricer = shocked_pricer(list(_SWAPTIONS.portfolio), _SWAPTIONS.market)
+        shock = np.zeros(40)
+        shock[at] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^shock must be finite$"):
+                pricer(shock)
+        assert pricer.call_count == 0
+
+    def test_finite_shock_whose_sum_overflows_is_priced(self):
+        pricer = shocked_pricer(list(_SWAPTIONS.portfolio), _SWAPTIONS.market)
+        shock = np.zeros(40)
+        shock[20:22] = 1e308  # the 0.5y x 1y and 0.5y x 2y vols
+        assert not math.isfinite(sum(shock.tolist()))
+        assert round(pricer(shock), 2) == 654_291.77
+        assert pricer.call_count == 1
+
+    @staticmethod
+    def _black_per_swaption(pricer, shock):
+        """The valuation with _black per swaption, from the pricer's matrices."""
+        legs = (pricer._legs @ np.exp(pricer._offset + shock @ pricer._slope)).tolist()
+        vols = np.maximum(pricer.market.surface.vols.ravel() + shock[pricer._n_rates:], VOL_FLOOR)
+        sigmas = (pricer._vol_weights @ vols).tolist()
+        swaptions = [t for t in pricer.portfolio if isinstance(t, SwaptionTrade)]
+        total = legs[0]
+        for t, sigma, annuity, floating in zip(swaptions, sigmas, legs[1::2], legs[2::2]):
+            forward = _checked_forward(floating, annuity)
+            std = sigma * math.sqrt(t.expiry)
+            total += t.underlying.notional * annuity * _black(forward, t.strike, std, t.payer)
+        return total
+
+    @pytest.mark.parametrize("demo", [_SWAPTIONS, _MIXED], ids=["swaptions", "mixed"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inlined_black_is_bit_identical_to_black(self, demo, data):
+        pricer = shocked_pricer(list(demo.portfolio), demo.market)
+        n_rates = pricer._n_rates
+        rates = data.draw(arrays(float, n_rates, elements=st.floats(-0.006, 0.006)))
+        vols = data.draw(
+            arrays(float, pricer.n_factors - n_rates, elements=st.floats(-0.6, 0.3))
+        )
+        shock = np.concatenate([rates, vols])
+        try:
+            expected = self._black_per_swaption(pricer, shock)
+        except ModelDomainError:
+            with pytest.raises(ModelDomainError, match=r"^forward swap rate"):
+                pricer(shock)
+            return
+        assert pricer(shock) == expected
+
+    def test_bit_identity_covers_payers_receivers_and_floors(self):
+        payers = [t.payer for t in _SWAPTIONS.portfolio]
+        assert payers == [True, False] * 8
+        shock = np.zeros(40)
+        shock[20:] = -0.6
+        pricer = shocked_pricer(list(_SWAPTIONS.portfolio), _SWAPTIONS.market)
+        assert pricer(shock) == self._black_per_swaption(pricer, shock)
+        assert pricer.floored_vol_count == 20
 
     def test_empty_book_is_worth_zero(self):
         pricer = shocked_pricer([], _SWAPTIONS.market)
