@@ -68,21 +68,30 @@ def fit_pca(data, k: int) -> PcaModel:
     """Fit a k-component PCA (centering only, no variance scaling).
 
     Components are the top right singular directions of the centered data,
-    each signed so its largest-magnitude entry is positive.
+    each signed so its largest-magnitude entry is positive. They come from
+    the SVD of R in a QR factorisation of the centered data, which never
+    forms the left singular vectors. Where LAPACK's ``dgesdd`` itself takes
+    the QR path (s >= 11n/6 samples), that is the full SVD's arithmetic, so
+    the components and variances are the same bits.
     """
-    data = np.asarray(data, dtype=float)
+    data = np.array(data, dtype=float)
     if data.ndim != 2:
         raise ArgumentError(f"data must be a 2-D matrix, got shape {data.shape}")
-    s, n = data.shape
+    return _fit_centring(data, k)
+
+
+def _fit_centring(x: np.ndarray, k: int) -> PcaModel:
+    """fit_pca on a 2-D float matrix that it may overwrite: x is left centered."""
+    s, n = x.shape
     if s < 2:
         raise ParameterError(f"need at least 2 samples, got {s}")
     if not (1 <= k <= min(n, s)):
         raise ParameterError(f"k={k} outside 1..min(n={n}, s={s})")
-    if not np.isfinite(data).all():
+    if not np.isfinite(x).all():
         raise ArgumentError("data must be finite")
-    mean = data.mean(axis=0)
-    centered = data - mean
-    if not centered.any():
+    mean = x.mean(axis=0)
+    x -= mean
+    if not x.any():
         components = np.eye(n)[:k]
         return PcaModel(
             mean=mean,
@@ -90,7 +99,7 @@ def fit_pca(data, k: int) -> PcaModel:
             explained_variance=np.zeros(k),
             zero_variance=True,
         )
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    _, sv, vt = np.linalg.svd(np.linalg.qr(x, mode="r"), full_matrices=False)
     components = vt[:k].copy()
     for row in components:
         j = int(np.argmax(np.abs(row)))
@@ -191,10 +200,11 @@ class OrthogonalSlider:
             raise ArgumentError(
                 f"shock width {shocks.shape[-1]}, expected {self.block_spec.input_dim}"
             )
-        parts = [
-            project(m, shocks[..., list(b.coord_indices)])
-            for b, m in zip(self.block_spec.blocks, self.models)
-        ]
+        parts = []
+        for b, m in zip(self.block_spec.blocks, self.models):
+            x = shocks[..., list(b.coord_indices)]
+            x -= m.mean  # the fancy index copied, so this leaves the caller's shocks alone
+            parts.append(x @ m.components.T)
         return np.concatenate(parts, axis=-1)
 
 
@@ -231,8 +241,9 @@ def build_orthogonal_slider(
     pivot_parts: list[np.ndarray] = []
     for b in block_spec.blocks:
         cols = list(b.coord_indices)
-        model = fit_pca(shocks[:, cols], b.k)
-        scores = project(model, shocks[:, cols])
+        centered = shocks[:, cols]  # a fancy-index copy, centred in place by the fit
+        model = _fit_centring(centered, b.k)
+        scores = centered @ model.components.T
         base_scores = project(model, base_shock[cols])
         for c in range(b.k):
             lo = min(float(scores[:, c].min()), float(base_scores[c]))
@@ -244,12 +255,16 @@ def build_orthogonal_slider(
         pivot_parts.append(base_scores)
     pivot = np.concatenate(pivot_parts)
 
-    offs = block_spec.offsets()
+    # reconstruct() per block, resolved once: (columns, reduced slice, components, mean).
+    resolved = [
+        (np.array(b.coord_indices), slice(off, off + b.k), m.components, m.mean)
+        for b, m, off in zip(block_spec.blocks, models, block_spec.offsets())
+    ]
 
     def reduced_pricer(y):
         z = np.empty(n)
-        for b, m, off in zip(block_spec.blocks, models, offs):
-            z[list(b.coord_indices)] = reconstruct(m, y[off : off + b.k])
+        for cols, sl, comps, mean in resolved:
+            z[cols] = y[sl] @ comps + mean
         return pricer(z)
 
     slider = build_slider(reduced_pricer, HyperRectangle(tuple(domains)), pivot, config)

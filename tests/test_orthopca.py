@@ -19,14 +19,74 @@ from chebslider import (
     eval_orthogonal_slider,
     eval_orthogonal_slider_many,
     fit_pca,
+    generate_synthetic_history,
     load_orthogonal_slider,
     project,
     reconstruct,
     reconstruct_through,
     save_orthogonal_slider,
+    shocked_pricer,
 )
+from chebslider.demo import swaps_demo, swaptions_demo
+from chebslider.riskengine import BlockLayout
 
 from .oracles import InstrumentedPricer
+
+
+def _full_svd_pca(data, k):
+    """(mean, components, explained variance) from the full thin SVD, U included."""
+    mean = data.mean(axis=0)
+    _, sv, vt = np.linalg.svd(data - mean, full_matrices=False)
+    components = vt[:k].copy()
+    for row in components:
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            row *= -1.0
+    return mean, components, sv[:k] ** 2 / (len(data) - 1)
+
+
+@st.composite
+def _planted_history(draw):
+    """(data, k): centered U diag(sigma) V^T with halving sigma, shifted by a mean row.
+
+    Shapes: tall (s >= 11n/6, where dgesdd factors QR first), short (n <= s
+    < 11n/6) and wide (s < n).
+    """
+    shape = draw(st.sampled_from(("tall", "short", "wide")))
+    n = draw(st.integers(3, 10))
+    if shape == "tall":
+        s = draw(st.integers(11 * n // 6, 4 * n))
+    elif shape == "short":
+        s = draw(st.integers(n, 11 * n // 6 - 1))
+    else:
+        s = draw(st.integers(2, n - 1))
+    rank = draw(st.integers(1, min(n, s - 1, 6)))
+    k = draw(st.integers(1, rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Columns 1.. of this Q are orthonormal and orthogonal to the ones vector.
+    u, _ = np.linalg.qr(np.hstack([np.ones((s, 1)), rng.standard_normal((s, rank))]))
+    v, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    sigma = rng.uniform(0.1, 10.0) * 2.0 ** -np.arange(rank)
+    return (u[:, 1:] * sigma) @ v.T + rng.standard_normal(n), k
+
+
+@pytest.fixture(scope="module")
+def demo_sliders():
+    """Per demo book: (shocks, pricer, orthogonal slider) on the default PCA blocks.
+
+    The swaps book gets a 1-D and a 2-D slide, the swaptions book a 3-D
+    slide and seventeen 1-D slides.
+    """
+    out = {}
+    for demo, slides in ((swaps_demo(), (1, 2)), (swaptions_demo(), (3,) + (1,) * 17)):
+        shocks = generate_synthetic_history(demo.synthetic, 42).shocks
+        layout = BlockLayout.from_doc(demo.blocks_doc(), demo.factor_names)
+        pricer = shocked_pricer(list(demo.portfolio), demo.market)
+        os_ = build_orthogonal_slider(
+            pricer, shocks, layout.pca_spec(), SliderConfig(slides, 5), np.zeros(shocks.shape[1])
+        )
+        out[demo.name] = (shocks, pricer, os_)
+    return out
 
 
 class TestFitPca:
@@ -92,6 +152,28 @@ class TestFitPca:
             fit_pca(data, 0)
         with pytest.raises(ParameterError):
             fit_pca(np.zeros((1, 4)), 1)
+
+    @given(case=_planted_history())
+    @settings(max_examples=80, deadline=None)
+    def test_property_matches_full_svd(self, case):
+        data, k = case
+        m = fit_pca(data, k)
+        mean, components, explained = _full_svd_pca(data, k)
+        assert np.array_equal(m.mean, mean)
+        assert np.all(np.abs(m.explained_variance - explained) <= 1e-12 * explained)
+        assert np.max(np.abs(m.components - components)) <= 1e-10
+
+    def test_full_svd_bits_on_demo_blocks(self, demo_sliders):
+        # Tall blocks take dgesdd's own QR path, so every component is the same bits.
+        for shocks, _, os_ in demo_sliders.values():
+            for b in os_.block_spec.blocks:
+                block = shocks[:, list(b.coord_indices)]
+                n = block.shape[1]
+                m = fit_pca(block, n)
+                mean, components, explained = _full_svd_pca(block, n)
+                assert np.array_equal(m.mean, mean)
+                assert np.array_equal(m.components, components)
+                assert np.array_equal(m.explained_variance, explained)
 
     def test_zero_variance_flagged(self):
         data = np.ones((5, 3)) * 2.7
@@ -342,3 +424,59 @@ class TestOrthogonalSlider:
         for m1, m2 in zip(os_.models, os2.models):
             assert np.array_equal(m1.components, m2.components)
             assert np.array_equal(m1.mean, m2.mean)
+
+
+class TestCallerArraysUntouched:
+    @pytest.mark.parametrize("cols", [(0, 1, 2, 3, 4, 5), (4, 1, 5, 0, 3, 2)])
+    def test_read_only_inputs_stay_bit_identical(self, cols):
+        rng = np.random.default_rng(19)
+        shocks = _correlated_history(rng, 80, 6)
+        base = shocks[3].copy()
+        for a in (shocks, base):
+            a.flags.writeable = False
+        before, base_before = shocks.copy(), base.copy()
+        spec = PcaBlockSpec((PcaBlock("a", cols[:4], 2), PcaBlock("b", cols[4:], 1)))
+        fit_pca(shocks, 3)
+        fit_pca(shocks[:, :4], 2)
+        os_ = build_orthogonal_slider(
+            _linear_pricer(np.ones(6)), shocks, spec, SliderConfig((1, 1, 1), 5), base
+        )
+        eval_orthogonal_slider_many(os_, shocks)
+        os_.project_full(shocks)
+        os_.project_full(base)
+        assert np.array_equal(shocks, before)
+        assert np.array_equal(base, base_before)
+
+
+class TestSameBitsAsReference:
+    """The build and projection against the per-block project/reconstruct path."""
+
+    @staticmethod
+    def _reduced_shock(os_, y):
+        # The reduced pricer's shock as reconstruct() gives it, block by block.
+        z = np.empty(os_.block_spec.input_dim)
+        for b, m, off in zip(os_.block_spec.blocks, os_.models, os_.block_spec.offsets()):
+            z[list(b.coord_indices)] = reconstruct(m, y[off : off + b.k])
+        return z
+
+    @pytest.mark.parametrize("book", ["swaps", "swaptions"])
+    def test_project_full_is_concatenated_project(self, demo_sliders, book):
+        shocks, _, os_ = demo_sliders[book]
+        for x in (shocks, shocks[5]):
+            parts = [
+                project(m, x[..., list(b.coord_indices)])
+                for b, m in zip(os_.block_spec.blocks, os_.models)
+            ]
+            assert np.array_equal(os_.project_full(x), np.concatenate(parts, axis=-1))
+
+    @pytest.mark.parametrize("book", ["swaps", "swaptions"])
+    def test_slide_values_are_pricer_at_reconstructed_nodes(self, demo_sliders, book):
+        _, pricer, os_ = demo_sliders[book]
+        sl = os_.slider
+        assert sl.pivot_value == pricer(self._reduced_shock(os_, sl.pivot))
+        for slide in sl.slides:
+            grids = slide.tensor.mesh.grids
+            for idx in np.ndindex(*slide.tensor.mesh.shape):
+                y = sl.pivot.copy()
+                y[list(slide.coord_indices)] = [g.nodes[j] for g, j in zip(grids, idx)]
+                assert slide.tensor.values[idx] == pricer(self._reduced_shock(os_, y))
