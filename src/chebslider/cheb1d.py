@@ -192,23 +192,45 @@ def barycentric_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
     return out
 
 
+# Work arrays hold at most this many values (128 KB each), so repeated calls
+# reuse heap pages rather than have glibc trim them and fault them in again.
+_BLOCK_VALUES = 1 << 14
+
+
 def barycentric_eval_many(
     nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized barycentric evaluation over a 1-D array of points.
+    """barycentric_eval at every point of a 1-D array xs, bit for bit.
 
-    Same result as barycentric_eval at each point. An exact node hit makes
-    the formula 0/0-like (non-finite), as does an overflow next to a node;
-    both rows take the nearest node's value, which for a hit is the stored one.
+    The loop runs over the m nodes and repeats the scalar rule's IEEE
+    operations in its order on whole arrays: q = w_j / (x - x_j), den += q,
+    num += q * v_j, then num / den. An exact node hit makes that quotient
+    non-finite, as does an overflow next to a node; such a point takes the
+    nearest node's value, which for a hit is the stored one, as in
+    barycentric_eval. The points are worked in blocks of rows.
     """
     xs = np.asarray(xs, dtype=float)
-    diff = xs[:, None] - nodes[None, :]
+    s = xs.shape[0]
+    out = np.empty(s)
+    step = max(1, min(s, _BLOCK_VALUES))
+    num, den, q = np.empty(step), np.empty(step), np.empty(step)
+    terms = list(zip(weights.tolist(), nodes.tolist(), values.tolist()))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = weights / diff
-        out = (w @ values) / w.sum(axis=1)
-    snap = ~np.isfinite(out)
-    if snap.any():
-        out[snap] = values[np.argmin(np.abs(diff[snap]), axis=1)]
+        for r in range(0, s, step):
+            x = xs[r : r + step]
+            nu, de, qq = num[: len(x)], den[: len(x)], q[: len(x)]
+            nu.fill(0.0)
+            de.fill(0.0)
+            for wj, xj, vj in terms:
+                np.subtract(x, xj, out=qq)
+                np.divide(wj, qq, out=qq)
+                de += qq
+                qq *= vj
+                nu += qq
+            o = np.divide(nu, de, out=out[r : r + step])
+            if not np.isfinite(o).all():
+                snap = np.flatnonzero(~np.isfinite(o))
+                o[snap] = values[np.argmin(np.abs(x[snap, None] - nodes), axis=1)]
     return out
 
 

@@ -7,9 +7,12 @@ Two evaluation paths give the same tensor interpolant:
   per remaining fiber, so a (m1, ..., md) tensor costs
   m1*...*m_{d-1} + ... + m1 + 1 one-dimensional evaluations per point
   (eval_call_count).
-- eval_tensor_many, the batch path, builds one (s, m_k) barycentric basis
-  matrix per axis for all s points and contracts the value tensor with
-  them, last axis first. It makes no scalar 1-D evaluations.
+- eval_tensor_many, the batch path, makes no scalar 1-D evaluations. A 1-D
+  tensor goes through barycentric_eval_many, the scalar rule's arithmetic
+  on whole arrays, and equals eval_tensor bit for bit. Higher dimensions
+  build one (s, m_k) barycentric basis matrix per axis for all s points and
+  contract the value tensor with them, last axis first; they may differ
+  from eval_tensor in the last bits.
 """
 
 from __future__ import annotations
@@ -155,10 +158,10 @@ def eval_tensor_many(
     """Evaluate the tensor at each row of xs; equal to eval_tensor row by row.
 
     Coordinates outside the box are clamped (one count per clamped
-    coordinate). One-dimensional tensors use barycentric_eval_many directly.
-    Higher dimensions contract the values with each axis's barycentric basis
-    matrix, last axis first; points on mesh nodes return the stored values
-    bit for bit.
+    coordinate). One-dimensional tensors use barycentric_eval_many directly
+    and match eval_tensor bit for bit. Higher dimensions contract the values
+    with each axis's barycentric basis matrix, last axis first; points on
+    mesh nodes return the stored values bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != t.mesh.ndim:

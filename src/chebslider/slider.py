@@ -223,7 +223,13 @@ def eval_slider(s: Slider, x, clamp_counter: ClampCounter | None = None) -> floa
 
 
 def eval_slider_many(s: Slider, xs, clamp_counter: ClampCounter | None = None) -> np.ndarray:
-    """Evaluate the slider at each row of xs, summing in eval_slider's order."""
+    """Evaluate the slider at each row of xs, summing in eval_slider's order.
+
+    Each slide goes through eval_tensor_many. Its 1-D slides repeat the
+    scalar rule's arithmetic, so a slider whose slides are all 1-D equals
+    eval_slider bit for bit; multi-dimensional slides may differ from it in
+    the last bits.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != s.ndim:
         raise ArgumentError(f"expected points of shape (s, {s.ndim}), got {xs.shape}")

@@ -20,11 +20,31 @@ from chebslider import (
     eval_barycentric,
     eval_barycentric_many,
 )
-from chebslider.cheb1d import barycentric_basis, chebyshev_points_centered
+from chebslider.cheb1d import (
+    barycentric_basis,
+    barycentric_eval,
+    barycentric_eval_many,
+    chebyshev_points_centered,
+)
 
 from .oracles import lagrange_eval
 
 UNIT = Domain1D(-1.0, 1.0)
+
+
+def bits(a):
+    """The IEEE bit patterns, so that 0.0 and -0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _kernel_points(grid, rng):
+    # Every node, both nextafter neighbours of each node (next to an exact
+    # 0.0 node 1/(x - node) overflows) and random points in the domain.
+    nodes = grid.nodes
+    inside = rng.uniform(grid.domain.lo, grid.domain.hi, size=8)
+    return np.concatenate(
+        [nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf), inside]
+    )
 
 
 class TestGrids:
@@ -152,7 +172,7 @@ class TestBarycentricEval:
         xs = rng.uniform(0.0, 3.0, size=64)
         batch = eval_barycentric_many(p, xs)
         scalar = np.array([eval_barycentric(p, float(x)) for x in xs])
-        # BLAS accumulation order may differ between the two paths by an ulp.
+        # test_property_kernel_is_scalar_rule_bit_for_bit pins equal bits.
         assert np.allclose(batch, scalar, rtol=1e-14, atol=1e-14)
         # Both fallbacks: every exact node hit, and 1/(x - 0.0) overflowing
         # next to the 0.0 node; each returns a stored value in both paths.
@@ -161,6 +181,35 @@ class TestBarycentricEval:
         scalar = np.array([eval_barycentric(p, float(x)) for x in edges])
         assert np.array_equal(batch, scalar)
         assert np.array_equal(scalar, np.append(p.values, p.values[0]))
+
+    @given(
+        m=st.integers(1, 12),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+        centred=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_property_kernel_is_scalar_rule_bit_for_bit(self, m, scale, centred, seed):
+        rng = np.random.default_rng(seed)
+        if centred:  # odd m puts a node at exactly 0.0
+            g = chebyshev_points_centered(m - 1, 0.0, rng.uniform(0.5, 3.0))
+        else:
+            lo = rng.uniform(-5.0, 5.0)
+            g = chebyshev_points(m - 1, Domain1D(lo, lo + rng.uniform(0.1, 4.0)))
+        values = scale * rng.standard_normal(m)
+        xs = rng.permutation(_kernel_points(g, rng))
+        scalar = np.array([barycentric_eval(g.nodes, g.weights, values, float(x)) for x in xs])
+        batch = barycentric_eval_many(g.nodes, g.weights, values, xs)
+        assert batch.shape == xs.shape
+        assert np.array_equal(bits(batch), bits(scalar))
+
+    def test_kernel_blocks_rows_and_keeps_zero_rows(self):
+        g = chebyshev_points(6, UNIT)
+        vals = np.random.default_rng(8).standard_normal(7)
+        xs = np.concatenate([np.linspace(-1, 1, 40_001), g.nodes])  # more rows than one block
+        scalar = np.array([barycentric_eval(g.nodes, g.weights, vals, float(x)) for x in xs])
+        assert np.array_equal(bits(barycentric_eval_many(g.nodes, g.weights, vals, xs)), bits(scalar))
+        assert barycentric_eval_many(g.nodes, g.weights, vals, np.empty(0)).shape == (0,)
 
     def test_many_handles_node_hits(self):
         g = chebyshev_points(6, UNIT)

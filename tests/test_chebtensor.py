@@ -225,6 +225,28 @@ class TestEvalTensor:
         nodes = np.array([[g.nodes[j] for g, j in zip(mesh.grids, row)] for row in idx])
         assert np.array_equal(eval_tensor_many(t, nodes), values[tuple(idx.T)])
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_one_dimensional_batch_is_scalar_bit_for_bit(self, data):
+        m = data.draw(st.integers(1, 12), label="m")
+        mesh = build_mesh(HyperRectangle((_domain(data),)), [m])
+        scale = data.draw(st.sampled_from([1e-300, 1.0, 1e300]), label="scale")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        values = np.random.default_rng(seed).standard_normal(m) * scale
+        t = chebtensor.ChebyshevTensor(mesh=mesh, values=values)
+        coordinate = st.tuples(
+            st.sampled_from(["box", "node", "below", "above"]),
+            st.integers(0, 11),
+            st.floats(-0.5, 1.5),
+        )
+        rows = data.draw(st.lists(coordinate, min_size=1, max_size=30), label="rows")
+        xs = np.array([[_coordinate(mesh.grids[0], *c)] for c in rows])
+        batch_clamps, scalar_clamps = ClampCounter(), ClampCounter()
+        batch = eval_tensor_many(t, xs, batch_clamps)
+        scalar = np.array([eval_tensor(t, row, scalar_clamps) for row in xs])
+        assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+        assert batch_clamps.count == scalar_clamps.count
+
     def test_clamping_inherited_per_dimension(self):
         mesh = build_mesh(UNIT2, [4, 4])
         t = build_tensor(lambda v: v[0] + v[1], mesh)

@@ -2,10 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebslider import (
@@ -27,6 +28,43 @@ from .oracles import InstrumentedPricer
 
 def unit_box(n):
     return HyperRectangle(tuple(Domain1D(-1.0, 1.0) for _ in range(n)))
+
+
+def bits(a):
+    """The IEEE bit patterns, so that 0.0 and -0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _probe_rows(s, rng, rows):
+    """The pivot, then rows whose coordinates are slide nodes, their nextafter
+    neighbours, points in the box or points up to 30% beyond it (clamped)."""
+    grids = {j: g for sl in s.slides for j, g in zip(sl.coord_indices, sl.tensor.mesh.grids)}
+    out = [np.array(s.pivot)]
+    for _ in range(rows):
+        row = np.empty(s.ndim)
+        for j, g in grids.items():
+            node = g.nodes[rng.integers(g.size)]
+            lo, hi, w = g.domain.lo, g.domain.hi, g.domain.width
+            row[j] = (
+                node,
+                np.nextafter(node, -math.inf),
+                np.nextafter(node, math.inf),
+                rng.uniform(lo, hi),
+                rng.uniform(lo - 0.3 * w, hi + 0.3 * w),
+            )[rng.integers(5)]
+        out.append(row)
+    return np.array(out)
+
+
+def _mixed_slider():
+    # 3-D, 2-D and 1-D slides; the 1-D ones have two node counts.
+    def f(v):
+        return float(np.exp(0.3 * v[0] - 0.2 * v[1]) * np.cos(v[2]) + v[3] * v[4] + np.sin(v[5:]).sum())
+
+    box = HyperRectangle(tuple(Domain1D(-1.0, 1.5) for _ in range(8)))
+    pivot = np.array([0.1, -0.2, 0.3, 0.0, 0.7, -0.5, 0.2, 0.4])
+    config = SliderConfig((1, 3, 2, 1, 1), (5, 3, 5, 3, 5), permutation=(5, 0, 1, 2, 3, 4, 6, 7))
+    return build_slider(f, box, pivot, config)
 
 
 class TestSliderConfig:
@@ -201,6 +239,92 @@ class TestEvalSlider:
         assert np.max(np.abs(batch - scalar)) <= 1e-12 * max(1.0, np.max(np.abs(scalar)))
         assert batch_clamps.count == scalar_clamps.count > 0
         assert batch[0] == scalar[0] == s.pivot_value
+
+    @given(
+        counts=st.lists(st.sampled_from([1, 3, 5, 7]), min_size=1, max_size=6),
+        shuffle=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(counts=[3, 5, 5, 7], shuffle=True, seed=7)
+    @settings(max_examples=60, deadline=None)
+    def test_property_all_1d_batch_is_scalar_bit_for_bit(self, counts, shuffle, seed):
+        n = len(counts)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-2.0, 2.0, size=n)
+
+        def f(v):
+            return float(np.sum(np.sin(coeffs * v)) + v[0] * v[-1])
+
+        lo = rng.uniform(-3.0, 1.0, size=n)
+        box = HyperRectangle(tuple(Domain1D(a, a + w) for a, w in zip(lo, rng.uniform(0.5, 3.0, n))))
+        pivot = np.array([rng.uniform(d.lo, d.hi) for d in box.dims])
+        perm = tuple(int(i) for i in rng.permutation(n)) if shuffle else None
+        s = build_slider(f, box, pivot, SliderConfig((1,) * n, tuple(counts), permutation=perm))
+        pts = _probe_rows(s, rng, 40)
+        batch_clamps, scalar_clamps = ClampCounter(), ClampCounter()
+        batch = eval_slider_many(s, pts, batch_clamps)
+        scalar = np.array([eval_slider(s, p, scalar_clamps) for p in pts])
+        assert np.array_equal(bits(batch), bits(scalar))
+        assert batch_clamps.count == scalar_clamps.count
+        assert batch[0] == s.pivot_value
+
+    def test_mixed_slider_matches_scalar_and_counts_clamps(self):
+        s = _mixed_slider()
+        pts = _probe_rows(s, np.random.default_rng(5), 300)
+        batch_clamps, scalar_clamps = ClampCounter(), ClampCounter()
+        batch = eval_slider_many(s, pts, batch_clamps)
+        scalar = np.array([eval_slider(s, p, scalar_clamps) for p in pts])
+        assert np.max(np.abs(batch - scalar)) <= 1e-12 * max(1.0, np.max(np.abs(scalar)))
+        assert batch_clamps.count == scalar_clamps.count > 0
+        assert batch[0] == scalar[0] == s.pivot_value
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_1d_coordinate_rejected(self, bad):
+        s = _mixed_slider()
+        pts = np.tile(s.pivot, (4, 1))
+        pts[2, 5] = bad  # coordinate 5 is the first, 1-D slide
+        with pytest.raises(ArgumentError, match="evaluation points must be finite"):
+            eval_slider_many(s, pts)
+
+    @pytest.mark.parametrize("tuple_", ["1x8", "3,1x*", "3,2,1x*"])
+    def test_read_only_points_left_untouched(self, tuple_):
+        f = lambda v: float(np.sum(np.sin(v)) + v[0] * v[1])
+        s = build_slider(f, unit_box(8), np.zeros(8), SliderConfig(parse_slider_tuple(tuple_, 8), 5))
+        pts = np.random.default_rng(1).uniform(-1.5, 1.5, size=(50, 8))  # clamps in place
+        before = pts.copy()
+        pts.flags.writeable = False
+        counter = ClampCounter()
+        eval_slider_many(s, pts, counter)
+        assert counter.count > 0
+        assert np.array_equal(bits(pts), bits(before))
+
+    @pytest.mark.parametrize("tuple_", ["1x4", "2,1,1", "3,1", "1,3", "2,2"])
+    def test_zero_rows_give_an_empty_result(self, tuple_):
+        dims = parse_slider_tuple(tuple_, 4)
+        points = (3, 5, 5, 3)[: len(dims)]  # 1-D slides of two node counts
+        s = build_slider(lambda v: float(np.sum(v)), unit_box(4), np.zeros(4), SliderConfig(dims, points))
+        assert eval_slider_many(s, np.empty((0, 4))).shape == (0,)
+
+    def test_transient_memory_stays_small(self):
+        # Transient arrays past glibc's trim threshold are handed back to the
+        # OS after each call and faulted in again on the next, which shows up
+        # as wall time in every repeated evaluation. The 1-D kernel therefore
+        # works in row blocks; this bounds what one call allocates.
+        n = 20
+        s = build_slider(lambda v: float(np.sum(np.cos(v))), unit_box(n), np.zeros(n),
+                         SliderConfig((1,) * n, 5))
+        xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4000, n))
+        clamped = np.arange(xs.size).reshape(xs.shape) % 6 == 0
+        xs[clamped] = np.where(xs[clamped] < 0, -1.5, 1.5)
+        counter = ClampCounter()
+        tracemalloc.start()
+        try:
+            eval_slider_many(s, xs, counter)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counter.count == np.count_nonzero(clamped)
+        assert peak <= 4 * xs.nbytes
 
     def test_clamping_counted(self):
         f = lambda v: float(v[0] + v[1])
