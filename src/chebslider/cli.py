@@ -248,7 +248,7 @@ def _horizon_map(args, inputs: _Inputs) -> dict[str, tuple[str, ...] | None]:
     return inputs.layout.horizon_map([h.strip() for h in args.horizons.split(",") if h.strip()])
 
 
-def _report_doc(inputs, result, spec, config, args) -> dict:
+def _report_doc(inputs, brute, result, spec, config, args) -> dict:
     return {
         "tool": "chebslider",
         "tool_version": __version__,
@@ -258,8 +258,8 @@ def _report_doc(inputs, result, spec, config, args) -> dict:
         "pca_dims": [b.k for b in spec.blocks],
         "slider_tuple": list(config.slide_dims),
         "scenario_count": inputs.scenarios.count,
-        "base_value": result.base_value,
-        "build_calls": result.build_calls,
+        "base_value": brute.base_value,
+        "build_calls": result.reports[inputs.scenarios.horizon].build_calls,
         "horizons": {h: asdict(r) for h, r in result.reports.items()},
     }
 
@@ -268,12 +268,11 @@ def cmd_run(args) -> int:
     inputs = _load_inputs(args)
     spec = _pca_spec(args, inputs)
     config = _slider_config(args, args.slider_tuple, spec)
+    horizons = _horizon_map(args, inputs)
     out = _output_path(args.out, directory=True)
     if args.save_slider:
         _output_path(args.save_slider)
-    brute = brute_pnl(
-        inputs.pricer, inputs.scenarios, inputs.base_shock, _horizon_map(args, inputs)
-    )
+    brute = brute_pnl(inputs.pricer, inputs.scenarios, inputs.base_shock, horizons)
     result = run_es_analysis(
         inputs.pricer,
         inputs.scenarios,
@@ -285,7 +284,7 @@ def cmd_run(args) -> int:
         diagnostic=args.diagnostic,
     )
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(_report_doc(inputs, result, spec, config, args), fh, indent=2)
+        json.dump(_report_doc(inputs, brute, result, spec, config, args), fh, indent=2)
         fh.write("\n")
     for horizon, series in result.pnl.items():
         with open(out / f"pnl_{horizon}.csv", "w", encoding="utf-8", newline="") as fh:
@@ -371,15 +370,12 @@ def cmd_sweep(args) -> int:
         except ChebSliderError as exc:
             rows.append({**cell, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        for r in result.reports.values():
-            rows.append(
-                {
-                    **asdict(r),
-                    **cell,
-                    "pca_dims": ",".join(str(k) for k in r.pca_dims),
-                    "slider_tuple": ",".join(str(d) for d in r.slider_tuple),
-                }
-            )
+        dims = {
+            "pca_dims": ",".join(str(b.k) for b in spec.blocks),
+            "slider_tuple": ",".join(str(d) for d in config.slide_dims),
+        }
+        for horizon, r in result.reports.items():
+            rows.append({**asdict(r), **cell, **dims, "horizon": horizon})
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()

@@ -53,7 +53,11 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-    zero_variance: bool = False
+
+    @property
+    def zero_variance(self) -> bool:
+        """The fitted data were constant: every explained variance is 0."""
+        return not self.explained_variance.any()
 
     @property
     def k(self) -> int:
@@ -92,20 +96,15 @@ def _fit_centring(x: np.ndarray, k: int) -> PcaModel:
     mean = x.mean(axis=0)
     x -= mean
     if not x.any():
-        components = np.eye(n)[:k]
-        return PcaModel(
-            mean=mean,
-            components=components,
-            explained_variance=np.zeros(k),
-            zero_variance=True,
-        )
-    _, sv, vt = np.linalg.svd(np.linalg.qr(x, mode="r"), full_matrices=False)
-    components = vt[:k].copy()
-    for row in components:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
-    explained = (sv[:k] ** 2) / (s - 1)
+        components, explained = np.eye(n)[:k], np.zeros(k)
+    else:
+        _, sv, vt = np.linalg.svd(np.linalg.qr(x, mode="r"), full_matrices=False)
+        components = vt[:k].copy()
+        for row in components:
+            j = int(np.argmax(np.abs(row)))
+            if row[j] < 0:
+                row *= -1.0
+        explained = (sv[:k] ** 2) / (s - 1)
     for a in (mean, components, explained):
         a.flags.writeable = False
     return PcaModel(mean=mean, components=components, explained_variance=explained)
@@ -346,14 +345,7 @@ def orthogonal_slider_from_dict(doc: dict) -> OrthogonalSlider:
         explained = np.asarray(bd["explained_variance"], dtype=float)
         for a in (mean, components, explained):
             a.flags.writeable = False
-        models.append(
-            PcaModel(
-                mean=mean,
-                components=components,
-                explained_variance=explained,
-                zero_variance=bool(bd.get("zero_variance", False)),
-            )
-        )
+        models.append(PcaModel(mean=mean, components=components, explained_variance=explained))
     base = np.asarray(doc["base_shock"], dtype=float)
     base.flags.writeable = False
     return OrthogonalSlider(

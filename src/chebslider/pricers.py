@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -586,8 +586,7 @@ def load_market(path) -> Market:
         for cid, c in doc["curves"].items():
             where = f", curve {cid!r}"
             curves[cid] = curve = ZeroCurve(
-                tenors=np.asarray(c["tenors"], dtype=float),
-                zero_rates=np.asarray(c["zero_rates"], dtype=float),
+                tenors=_numbers(c, "tenors"), zero_rates=_numbers(c, "zero_rates")
             )
             worst = max(curve.zero_rates.tolist(), key=abs)
             if abs(worst) > MAX_ZERO_RATE:
@@ -599,9 +598,9 @@ def load_market(path) -> Market:
         surface = None
         if surf is not None:
             surface = VolSurface(
-                expiries=np.asarray(surf["expiries"], dtype=float),
-                tenors=np.asarray(surf["tenors"], dtype=float),
-                vols=np.asarray(surf["vols"], dtype=float),
+                expiries=_numbers(surf, "expiries"),
+                tenors=_numbers(surf, "tenors"),
+                vols=_numbers(surf, "vols"),
             )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise _malformed(path, where, exc) from None
@@ -628,11 +627,35 @@ def _flag(d: dict, key: str) -> bool:
     return d[key]
 
 
+def _is_number(value) -> bool:
+    """A JSON number: float() also takes a boolean and a numeric string."""
+    return type(value) in (int, float)
+
+
 def _number(d: dict, key: str, default: float | None = None) -> float:
-    value = float(d[key] if default is None else d.get(key, default))
+    raw = d[key] if default is None else d.get(key, default)
+    value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    if not _is_number(raw):
+        raise TypeError(f"{key!r} must be a number, got {raw!r}")
     return value
+
+
+def _numbers(d: dict, key: str) -> np.ndarray:
+    values = np.asarray(d[key], dtype=float)
+    bad = [v for v in np.asarray(d[key], dtype=object).flat if not _is_number(v)]
+    if bad:
+        raise TypeError(f"{key!r} must hold numbers, got {bad[0]!r}")
+    return values
+
+
+def _known_keys(d: dict, cls, where: str = "") -> None:
+    """Reject a key that is no field of cls, such as a misspelt optional one."""
+    known = {"type", *(f.name for f in fields(cls))}
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}{where}")
 
 
 def _curve_id(d: dict, key: str, default: str) -> str:
@@ -642,7 +665,8 @@ def _curve_id(d: dict, key: str, default: str) -> str:
     return cid
 
 
-def _swap_from_dict(d: dict) -> SwapTrade:
+def _swap_from_dict(d: dict, where: str = "") -> SwapTrade:
+    _known_keys(d, SwapTrade, where)
     return SwapTrade(
         notional=_number(d, "notional"),
         fixed_rate=_number(d, "fixed_rate"),
@@ -678,11 +702,12 @@ def _trade_from_dict(d: dict):
     if d["type"] == "swap":
         return _swap_from_dict(d)
     if d["type"] == "swaption":
+        _known_keys(d, SwaptionTrade)
         return SwaptionTrade(
             expiry=_number(d, "expiry"),
             strike=_number(d, "strike"),
             payer=_flag(d, "payer"),
-            underlying=_swap_from_dict(d["underlying"]),
+            underlying=_swap_from_dict(d["underlying"], " in underlying"),
         )
     raise ConfigurationError(f"unknown trade type {d['type']!r}")
 

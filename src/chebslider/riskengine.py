@@ -101,7 +101,8 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class EsReport:
-    horizon: str
+    """What one horizon's comparison gives; the run settings live with the run."""
+
     es_brute: float
     es_slider: float
     relative_error: float | None  # None: es_brute is 0 and es_slider is not
@@ -109,11 +110,6 @@ class EsReport:
     correlation: float | None  # None: a constant series
     ks_statistic: float
     ks_p_value: float
-    pca_dims: tuple[int, ...]
-    slider_tuple: tuple[int, ...]
-    points_per_dim: int
-    alpha: float
-    scenario_count: int
     es_tail_size: int
     build_calls: int
     incremental_calls: int
@@ -553,8 +549,6 @@ class RunResult:
     slider: OrthogonalSlider
     reports: dict[str, EsReport]
     pnl: dict[str, dict[str, np.ndarray]]  # horizon -> source -> P&L series
-    base_value: float
-    build_calls: int
 
 
 def _relative_error(es_brute: float, es_slider: float) -> float | None:
@@ -586,8 +580,6 @@ def run_es_analysis(
     oslider = build_orthogonal_slider(pricer, scenarios.shocks, block_spec, config, base_shock)
     build_calls = pricer.call_count - calls_before_build
 
-    pca_dims = tuple(b.k for b in block_spec.blocks)
-
     reports: dict[str, EsReport] = {}
     pnl: dict[str, dict[str, np.ndarray]] = {}
 
@@ -613,7 +605,6 @@ def run_es_analysis(
         es_s = expected_shortfall(slider_pnl, alpha)
         d, p = ks_two_sample(brute_h, slider_pnl)
         reports[horizon] = EsReport(
-            horizon=horizon,
             es_brute=es_b,
             es_slider=es_s,
             relative_error=_relative_error(es_b, es_s),
@@ -621,11 +612,6 @@ def run_es_analysis(
             correlation=correlation(brute_h, slider_pnl) if varies else None,
             ks_statistic=d,
             ks_p_value=p,
-            pca_dims=pca_dims,
-            slider_tuple=config.slide_dims,
-            points_per_dim=max(config.points_per_dim),
-            alpha=alpha,
-            scenario_count=count,
             es_tail_size=es_tail_size(count, alpha),
             build_calls=horizon_build_calls,
             incremental_calls=incremental,
@@ -633,13 +619,7 @@ def run_es_analysis(
         )
         pnl[horizon] = series
 
-    return RunResult(
-        slider=oslider,
-        reports=reports,
-        pnl=pnl,
-        base_value=base_value,
-        build_calls=build_calls,
-    )
+    return RunResult(slider=oslider, reports=reports, pnl=pnl)
 
 
 # ---------------------------------------------------------------------------

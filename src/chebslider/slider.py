@@ -91,15 +91,27 @@ class Slide:
 
 @dataclass(frozen=True)
 class Slider:
+    """The pivot, f there, and slides whose coordinates are 0..ndim-1, each once."""
+
     pivot: np.ndarray
     pivot_value: float
     slides: tuple[Slide, ...]
-    box: HyperRectangle
-    build_call_count: int
 
     @property
     def ndim(self) -> int:
         return len(self.pivot)
+
+    @property
+    def box(self) -> HyperRectangle:
+        """The slides' domains by coordinate: the box the slider was built on."""
+        dims = {j: g.domain for sl in self.slides
+                for j, g in zip(sl.coord_indices, sl.tensor.mesh.grids)}
+        return HyperRectangle(tuple(dims[j] for j in range(self.ndim)))
+
+    @property
+    def build_call_count(self) -> int:
+        """Calls to f the build made: the pivot plus every slide's mesh."""
+        return 1 + sum(sl.tensor.mesh.size for sl in self.slides)
 
 
 def _tuple_int(token: str, text: str) -> int:
@@ -174,7 +186,6 @@ def build_slider(f, box: HyperRectangle, pivot, config: SliderConfig) -> Slider:
     v = float(f(pivot.copy()))
     if not math.isfinite(v):
         raise SamplingError(f"f returned non-finite value {v!r} at the pivot")
-    calls = 1
 
     # Symmetric envelope of each requested interval around the pivot: the
     # pivot sits on the middle node whenever the point count is odd.
@@ -195,19 +206,10 @@ def build_slider(f, box: HyperRectangle, pivot, config: SliderConfig) -> Slider:
             z[_idx] = y
             return f(z)
 
-        tensor = build_tensor(restriction, mesh)
-        calls += mesh.size
-        slides.append(Slide(coord_indices=coords, tensor=tensor))
+        slides.append(Slide(coord_indices=coords, tensor=build_tensor(restriction, mesh)))
 
-    actual_box = HyperRectangle(tuple(grid_for[j].domain for j in range(n)))
     pivot.flags.writeable = False
-    return Slider(
-        pivot=pivot,
-        pivot_value=v,
-        slides=tuple(slides),
-        box=actual_box,
-        build_call_count=calls,
-    )
+    return Slider(pivot=pivot, pivot_value=v, slides=tuple(slides))
 
 
 def eval_slider(s: Slider, x, clamp_counter: ClampCounter | None = None) -> float:
@@ -281,25 +283,17 @@ def slider_from_dict(doc: dict) -> Slider:
         grids = tuple(
             _grid_from_nodes(nd, dom) for nd, dom in zip(sd["nodes"], sd["domains"])
         )
+        coords = tuple(int(i) for i in sd["coord_indices"])
+        if len(coords) != len(grids):
+            raise ArgumentError(f"a slide of {len(grids)} grids lists coordinates {coords}")
         mesh = ChebyshevMesh(grids)
         values = np.asarray(sd["values"], dtype=float).reshape(mesh.shape)
         values.flags.writeable = False
-        slides.append(
-            Slide(coord_indices=tuple(int(i) for i in sd["coord_indices"]),
-                  tensor=ChebyshevTensor(mesh=mesh, values=values))
+        slides.append(Slide(coords, ChebyshevTensor(mesh=mesh, values=values)))
+    covered = sorted(j for slide in slides for j in slide.coord_indices)
+    if covered != list(range(pivot.size)):
+        raise ArgumentError(
+            f"slide coordinates must be 0..{pivot.size - 1}, each once, got {covered}"
         )
-    n = pivot.size
-    dims: list[Domain1D | None] = [None] * n
-    for slide in slides:
-        for j, g in zip(slide.coord_indices, slide.tensor.mesh.grids):
-            dims[j] = g.domain
-    if any(d is None for d in dims):
-        raise ArgumentError("slider document does not cover every coordinate")
     pivot.flags.writeable = False
-    return Slider(
-        pivot=pivot,
-        pivot_value=float(doc["pivot_value"]),
-        slides=tuple(slides),
-        box=HyperRectangle(tuple(dims)),
-        build_call_count=int(doc["build_call_count"]),
-    )
+    return Slider(pivot=pivot, pivot_value=float(doc["pivot_value"]), slides=tuple(slides))

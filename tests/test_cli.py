@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -35,6 +36,7 @@ from chebslider.errors import (
 )
 from chebslider.demo import swaps_demo
 from chebslider.pricers import ShockedPortfolioPricer, save_portfolio
+from chebslider.riskengine import EsReport
 
 
 def run_cli(*args):
@@ -116,6 +118,20 @@ class TestRun:
 
         os_ = load_orthogonal_slider(slider_path)
         assert os_.block_spec.reduced_dim == 3
+
+    def test_report_keys_are_the_schemas(self, tmp_path):
+        out = tmp_path / "run"
+        run_cli(
+            "run", "--synthetic", "swaptions", "--seed", "2", "--scenario-count", "250",
+            "--pca-dims", "6,6", "--slider-tuple", "1x12", "--out", str(out),
+        )
+        report = json.loads((out / "report.json").read_text())
+        schema = load_schema()
+        horizon = schema["properties"]["horizons"]["additionalProperties"]
+        fields = [f.name for f in dataclasses.fields(EsReport)]
+        assert horizon["required"] == list(horizon["properties"]) == fields
+        assert [list(r) for r in report["horizons"].values()] == [fields, fields]
+        assert schema["required"] == list(schema["properties"]) == list(report)
 
     def test_determinism_byte_identical(self, tmp_path):
         args = [
@@ -398,6 +414,18 @@ class TestMalformedInputs:
         assert pricer_calls["n"] == 0
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "afile"]
 
+    @pytest.mark.parametrize("command, out", [("run", "o"), ("sweep", "o/s.csv")])
+    def test_unknown_horizon_exits_2_before_making_the_output_directory(
+        self, tmp_path, pricer_calls, command, out
+    ):
+        argv = [command, "--synthetic", "swaps", "--scenario-count", "100", "--horizons", "99d"]
+        argv += ["--pca-dims", "3"] if command == "run" else ["--dims", "3"]
+        code, err = _run_quietly([*argv, "--out", str(tmp_path / out)])
+        assert code == 2
+        assert _one_json_error(err)["message"].startswith("horizon '99d' not defined")
+        assert pricer_calls["n"] == 0
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, source, message",
         [
@@ -474,6 +502,21 @@ class TestMalformedInputs:
              "increasing"),
             ("absurd zero rate",
              "market.json, curve 'forecast': zero rate -1e+300 exceeds 1 (100%) in magnitude"),
+            # float() takes a JSON boolean or a numeric string, and a
+            # misspelt optional key would leave its default in place
+            ("boolean fixed rate",
+             "portfolio.json, trade 0: 'fixed_rate' must be a number, got True"),
+            ("numeric text notional",
+             "portfolio.json, trade 1: 'notional' must be a number, got '1000000'"),
+            ("boolean zero rate",
+             "market.json, curve 'discount': 'zero_rates' must hold numbers, got True"),
+            ("numeric text vol",
+             "market.json, vol_surface: 'vols' must hold numbers, got '0.2'"),
+            ("misspelt start",
+             "portfolio.json, trade 0: unknown key 'strat' in underlying"),
+            ("misspelt curve key",
+             "portfolio.json, trade 1: unknown key 'discount_curv' in underlying"),
+            ("unknown swaption key", "portfolio.json, trade 2: unknown key 'strikes'"),
         ],
     )
     def test_malformed_book_exits_2_before_any_pricer_call(
@@ -514,6 +557,22 @@ class TestMalformedInputs:
             market["curves"]["forecast"]["tenors"][-1] = math.inf
         elif case == "absurd zero rate":  # -zero_rate * tenor stays finite
             market["curves"]["forecast"]["zero_rates"][-1] = -1e300
+        elif case == "boolean fixed rate":
+            portfolio["trades"][0]["underlying"]["fixed_rate"] = True
+        elif case == "numeric text notional":
+            portfolio["trades"][1]["underlying"]["notional"] = "1000000"
+        elif case == "boolean zero rate":
+            market["curves"]["discount"]["zero_rates"][0] = True
+        elif case == "numeric text vol":
+            market["vol_surface"]["vols"][1][0] = "0.2"
+        elif case == "misspelt start":
+            underlying = portfolio["trades"][0]["underlying"]
+            underlying["strat"] = underlying.pop("start")
+        elif case == "misspelt curve key":
+            underlying = portfolio["trades"][1]["underlying"]
+            underlying["discount_curv"] = underlying.pop("discount_curve")
+        elif case == "unknown swaption key":
+            portfolio["trades"][2]["strikes"] = portfolio["trades"][2]["strike"]
         else:
             portfolio["trades"][1]["type"] = "bond"
         (tmp_path / "portfolio.json").write_text(json.dumps(portfolio))

@@ -418,6 +418,24 @@ class TestSerialization:
         with pytest.raises(ArgumentError):
             slider_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "pivot_dim, coords, message",
+        [
+            (4, [[0, 1], [2], [4]], r"must be 0\.\.3, each once, got \[0, 1, 2, 4\]"),
+            # if accepted, evaluation would count coordinate 2 twice
+            (3, [[0, 1], [2], [2]], r"must be 0\.\.2, each once, got \[0, 1, 2, 2\]"),
+            (3, [[0], [1], [2]], r"a slide of 2 grids lists coordinates \(0,\)"),
+        ],
+        ids=["out-of-range", "repeated", "fewer-than-grids"],
+    )
+    def test_rejects_coordinates_other_than_each_once(self, pivot_dim, coords, message):
+        doc = slider_to_dict(self._sample_slider())
+        doc["pivot"] = doc["pivot"][:pivot_dim]
+        for sd, c in zip(doc["slides"], coords):
+            sd["coord_indices"] = c
+        with pytest.raises(ArgumentError, match=message):
+            slider_from_dict(doc)
+
     def test_json_document_is_plain_data(self):
         doc = json.loads(json.dumps(slider_to_dict(self._sample_slider())))
         assert doc["schema_version"] == 1
