@@ -237,22 +237,31 @@ def barycentric_eval_many(
 def barycentric_basis(nodes: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(s, m) matrix of the Lagrange basis at each point: row i holds l_j(xs[i]).
 
-    `barycentric_basis(...) @ values` is the interpolant at every point. A
-    row whose denominator is not finite (an exact node hit, or 1/(x - node)
-    overflowing next to a node) is one-hot at the nearest node, as in
-    barycentric_eval, so node hits reproduce stored values bit for bit.
+    `barycentric_basis(...) @ values` is the interpolant at every point. The
+    basis is built node-major, as an (m, s) array whose rows are the terms
+    q_j = w_j / (x - x_j) over all points; the result is its transpose, so
+    `.T` gives the C-contiguous (m, s) array back. Each denominator adds the
+    q_j in node order, barycentric_eval's order, so every row equals the
+    scalar rule's q_j / den bit for bit. A row whose denominator is not
+    finite (an exact node hit, or 1/(x - node) overflowing next to a node)
+    is one-hot at the nearest node, as in barycentric_eval, so node hits
+    reproduce stored values bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
-    diff = xs[:, None] - nodes[None, :]
+    diff = xs - nodes[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = weights / diff
-        den = w.sum(axis=1)
-        basis = w / den[:, None]
+        q = weights[:, None] / diff
+        # Node by node, barycentric_eval's order: q.sum(axis=0) would add a
+        # single point's terms (s == 1) pairwise.
+        den = q[0].copy()
+        for row in q[1:]:
+            den += row
+        q /= den
     snap = np.flatnonzero(~np.isfinite(den))
     if snap.size:
-        basis[snap] = 0.0
-        basis[snap, np.argmin(np.abs(diff[snap]), axis=1)] = 1.0
-    return basis
+        q[:, snap] = 0.0
+        q[np.argmin(np.abs(diff[:, snap]), axis=0), snap] = 1.0
+    return q.T
 
 
 def _clamp_coordinate(x: float, domain: Domain1D, clamp_counter: ClampCounter | None) -> float:

@@ -7,12 +7,16 @@ Two evaluation paths give the same tensor interpolant:
   per remaining fiber, so a (m1, ..., md) tensor costs
   m1*...*m_{d-1} + ... + m1 + 1 one-dimensional evaluations per point
   (eval_call_count).
-- eval_tensor_many, the batch path, makes no scalar 1-D evaluations. A 1-D
-  tensor goes through barycentric_eval_many, the scalar rule's arithmetic
-  on whole arrays, and equals eval_tensor bit for bit. Higher dimensions
-  build one (s, m_k) barycentric basis matrix per axis for all s points and
-  contract the value tensor with them, last axis first; they may differ
-  from eval_tensor in the last bits.
+- eval_tensor_many, the batch path, makes no scalar 1-D evaluations. It
+  keeps the point axis last: the (s, d) points are copied once into a
+  (d, s) array, one contiguous row per coordinate. A 1-D tensor goes
+  through barycentric_eval_many, the scalar rule's arithmetic on whole
+  arrays, and equals eval_tensor bit for bit. Higher dimensions build one
+  node-major (m_k, s) barycentric basis per axis, whose denominators add
+  the terms in the scalar rule's node order, and contract the value tensor
+  with them, last axis first: one matmul into a (m_1*...*m_{d-1}, s) array,
+  then one einsum per remaining axis. They may differ from eval_tensor in
+  the last bits, because the collapse sums in another order.
 """
 
 from __future__ import annotations
@@ -160,8 +164,9 @@ def eval_tensor_many(
     Coordinates outside the box are clamped (one count per clamped
     coordinate). One-dimensional tensors use barycentric_eval_many directly
     and match eval_tensor bit for bit. Higher dimensions contract the values
-    with each axis's barycentric basis matrix, last axis first; points on
-    mesh nodes return the stored values bit for bit.
+    with each axis's node-major barycentric basis, last axis first, keeping
+    the point axis last; points on mesh nodes return the stored values bit
+    for bit.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != t.mesh.ndim:
@@ -171,24 +176,26 @@ def eval_tensor_many(
     if not np.isfinite(xs).all():
         raise ArgumentError("evaluation points must be finite")
     grids, shape = t.mesh.grids, t.mesh.shape
-    lo = np.array([g.domain.lo for g in grids])
-    hi = np.array([g.domain.hi for g in grids])
-    clipped = np.clip(xs, lo, hi)
+    lo = np.array([[g.domain.lo] for g in grids])
+    hi = np.array([[g.domain.hi] for g in grids])
+    # Point-last: row k holds coordinate k of every point, contiguous.
+    pts = np.ascontiguousarray(xs.T)
+    clipped = np.clip(pts, lo, hi)
     if clamp_counter is not None:
-        clamp_counter.record(int(np.count_nonzero(clipped != xs)))
+        clamp_counter.record(int(np.count_nonzero(clipped != pts)))
     if len(grids) == 1:
         g = grids[0]
-        return barycentric_eval_many(g.nodes, g.weights, t.values, clipped[:, 0])
+        return barycentric_eval_many(g.nodes, g.weights, t.values, clipped[0])
     s = xs.shape[0]
     g = grids[-1]
-    # work[i, p]: the values with the last axes already collapsed at point i.
-    work = barycentric_basis(g.nodes, g.weights, clipped[:, -1]) @ t.values.reshape(-1, g.size).T
+    # work[p, i]: the values with the last axes already collapsed at point i.
+    work = t.values.reshape(-1, g.size) @ barycentric_basis(g.nodes, g.weights, clipped[-1]).T
     for axis in range(len(grids) - 2, -1, -1):
         g = grids[axis]
         work = np.einsum(
-            "spj,sj->sp",
-            work.reshape(s, math.prod(shape[:axis]), g.size),
-            barycentric_basis(g.nodes, g.weights, clipped[:, axis]),
+            "pjs,js->ps",
+            work.reshape(math.prod(shape[:axis]), g.size, s),
+            barycentric_basis(g.nodes, g.weights, clipped[axis]).T,
         )
     return work.reshape(s)
 

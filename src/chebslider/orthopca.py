@@ -337,23 +337,35 @@ def orthogonal_slider_from_dict(doc: dict) -> OrthogonalSlider:
     blocks = []
     models = []
     for bd in doc["blocks"]:
-        blocks.append(
-            PcaBlock(name=bd["name"], coord_indices=tuple(bd["coord_indices"]), k=int(bd["k"]))
-        )
+        block = PcaBlock(name=bd["name"], coord_indices=tuple(bd["coord_indices"]), k=int(bd["k"]))
+        blocks.append(block)
         mean = np.asarray(bd["mean"], dtype=float)
         components = np.asarray(bd["components"], dtype=float)
         explained = np.asarray(bd["explained_variance"], dtype=float)
+        n = len(block.coord_indices)
+        if components.shape != (block.k, n):
+            raise ArgumentError(
+                f"block {block.name!r}: components of shape {components.shape}, "
+                f"expected (k={block.k}, {n} coordinates)"
+            )
+        if mean.shape != (n,):
+            raise ArgumentError(
+                f"block {block.name!r}: mean of {mean.size} entries for {n} coordinates"
+            )
         for a in (mean, components, explained):
             a.flags.writeable = False
         models.append(PcaModel(mean=mean, components=components, explained_variance=explained))
+    spec = PcaBlockSpec(tuple(blocks))
+    slider = slider_from_dict(doc["slider"])
+    if spec.reduced_dim != slider.ndim:
+        raise ArgumentError(
+            f"blocks' k sum to {spec.reduced_dim}, the slider has {slider.ndim} coordinates"
+        )
     base = np.asarray(doc["base_shock"], dtype=float)
+    if base.shape != (spec.input_dim,):
+        raise ArgumentError(f"base shock of shape {base.shape}, expected ({spec.input_dim},)")
     base.flags.writeable = False
-    return OrthogonalSlider(
-        block_spec=PcaBlockSpec(tuple(blocks)),
-        models=tuple(models),
-        slider=slider_from_dict(doc["slider"]),
-        base_shock=base,
-    )
+    return OrthogonalSlider(block_spec=spec, models=tuple(models), slider=slider, base_shock=base)
 
 
 def save_orthogonal_slider(os_: OrthogonalSlider, path) -> None:

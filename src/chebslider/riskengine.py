@@ -193,12 +193,16 @@ class BlockDef:
     horizons: tuple[str, ...]  # liquidity horizons at which the factors stay shocked
 
 
+_BLOCK_KEYS = ("name", "factors", "prefix", "k", "horizons")
+
+
 @dataclass(frozen=True)
 class BlockLayout:
     """PCA blocks over an ordered risk-factor list, read from a blocks document.
 
     The document is {"version": 1, "blocks": [{"name", "factors" | "prefix",
-    "k", "horizons"}]}; `k` is optional and `horizons` defaults to ["10d"].
+    "k", "horizons"}]}; `k` is optional, `horizons` defaults to ["10d"], and
+    a block with any other key is rejected.
     The 10-day horizon shocks every factor; any other horizon shocks the
     factors of the blocks that list it.
     """
@@ -219,6 +223,11 @@ class BlockLayout:
             if not isinstance(name, str):
                 raise ConfigurationError(f"{where}: block {i} needs a 'name' string")
             at = f"{where}: block {i} ({name!r})"
+            for key in entry:  # a misspelt key would silently fall back to a default
+                if key not in _BLOCK_KEYS:
+                    raise ConfigurationError(
+                        f"{at}: unknown key {key!r} (a block takes {', '.join(_BLOCK_KEYS)})"
+                    )
             factors = entry.get("factors")
             if factors is None and isinstance(entry.get("prefix"), str):
                 factors = [n for n in names if n.startswith(entry["prefix"])]

@@ -279,7 +279,7 @@ def slider_from_dict(doc: dict) -> Slider:
         raise ArgumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
     pivot = np.asarray(doc["pivot"], dtype=float)
     slides = []
-    for sd in doc["slides"]:
+    for i, sd in enumerate(doc["slides"]):
         grids = tuple(
             _grid_from_nodes(nd, dom) for nd, dom in zip(sd["nodes"], sd["domains"])
         )
@@ -287,7 +287,12 @@ def slider_from_dict(doc: dict) -> Slider:
         if len(coords) != len(grids):
             raise ArgumentError(f"a slide of {len(grids)} grids lists coordinates {coords}")
         mesh = ChebyshevMesh(grids)
-        values = np.asarray(sd["values"], dtype=float).reshape(mesh.shape)
+        values = np.asarray(sd["values"], dtype=float)
+        if values.size != mesh.size:
+            raise ArgumentError(
+                f"slide {i} {coords}: {values.size} values for a mesh of {mesh.size} nodes"
+            )
+        values = values.reshape(mesh.shape)
         values.flags.writeable = False
         slides.append(Slide(coords, ChebyshevTensor(mesh=mesh, values=values)))
     covered = sorted(j for slide in slides for j in slide.coord_indices)

@@ -47,6 +47,23 @@ def _kernel_points(grid, rng):
     )
 
 
+def _scalar_basis_row(nodes, weights, x):
+    # Row of l_j(x) as barycentric_eval orders it: q_j = w_j / (x - x_j),
+    # den summed in node order, l_j = q_j / den; a hit or a non-finite den
+    # is one-hot at the nearest node.
+    qs, den = [], 0.0
+    for xj, wj in zip(nodes.tolist(), weights.tolist()):
+        d = x - xj
+        if d == 0.0:
+            den = math.inf
+            break
+        qs.append(wj / d)
+        den += qs[-1]
+    if not math.isfinite(den):
+        return np.eye(len(nodes))[np.argmin(np.abs(x - nodes))]
+    return np.array([q / den for q in qs])
+
+
 class TestGrids:
     def test_n2_unit_nodes(self):
         g = chebyshev_points(2, UNIT)
@@ -231,6 +248,26 @@ class TestBarycentricEval:
         assert np.allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         p = ChebyshevInterpolant1D(grid=g, values=vals)
         assert np.allclose(basis @ vals, eval_barycentric_many(p, xs), rtol=1e-14, atol=1e-14)
+
+    @given(
+        m=st.integers(1, 16),
+        centred=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_property_basis_rows_are_scalar_order_bit_for_bit(self, m, centred, seed):
+        rng = np.random.default_rng(seed)
+        if centred:  # odd m puts a node at exactly 0.0, whose neighbours overflow
+            g = chebyshev_points_centered(m - 1, 0.0, rng.uniform(0.5, 3.0))
+        else:
+            lo = rng.uniform(-5.0, 5.0)
+            g = chebyshev_points(m - 1, Domain1D(lo, lo + rng.uniform(0.1, 4.0)))
+        xs = rng.permutation(_kernel_points(g, rng))
+        expected = np.array([_scalar_basis_row(g.nodes, g.weights, float(x)) for x in xs])
+        assert np.array_equal(bits(barycentric_basis(g.nodes, g.weights, xs)), bits(expected))
+        # a single point too, whose denominator numpy would sum pairwise
+        one = barycentric_basis(g.nodes, g.weights, xs[:1])
+        assert np.array_equal(bits(one), bits(expected[:1]))
 
     def test_polynomial_reproduction_relative_1e12(self):
         rng = np.random.default_rng(10)

@@ -247,6 +247,36 @@ class TestEvalTensor:
         assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
         assert batch_clamps.count == scalar_clamps.count
 
+    @pytest.mark.parametrize("shape", [(5, 5), (5, 5, 5), (3, 4, 2, 3)])
+    def test_batch_bits_do_not_depend_on_point_layout(self, shape):
+        rng = np.random.default_rng(len(shape))
+        mesh = build_mesh(HyperRectangle(tuple(Domain1D(-1, 1) for _ in shape)), shape)
+        t = chebtensor.ChebyshevTensor(mesh=mesh, values=rng.standard_normal(shape))
+        wide = rng.uniform(-1.2, 1.2, size=(60, 2 * len(shape)))
+        for xs in (np.asfortranarray(wide[:, : len(shape)]), wide[:, ::-2], wide[::3, 1::2]):
+            assert not xs.flags.c_contiguous
+            clamps, copy_clamps = ClampCounter(), ClampCounter()
+            got = eval_tensor_many(t, xs, clamps)
+            want = eval_tensor_many(t, np.ascontiguousarray(xs), copy_clamps)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert clamps.count == copy_clamps.count > 0
+        assert eval_tensor_many(t, wide[:0, : len(shape)]).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(9, 3), (2, 12), (3, 10, 2)])
+    @pytest.mark.parametrize("s", [1, 25])
+    def test_one_point_and_long_axes_match_scalar(self, shape, s):
+        rng = np.random.default_rng(sum(shape) + s)
+        mesh = build_mesh(HyperRectangle(tuple(Domain1D(-2, 3) for _ in shape)), shape)
+        values = rng.standard_normal(shape)
+        t = chebtensor.ChebyshevTensor(mesh=mesh, values=values)
+        xs = rng.uniform(-2.5, 3.5, size=(s, len(shape)))
+        long = int(np.argmax(shape))
+        xs[-1, long] = mesh.grids[long].nodes[4]  # one coordinate on a node of the long axis
+        batch = eval_tensor_many(t, xs)
+        scalar = np.array([eval_tensor(t, row) for row in xs])
+        assert batch.shape == (s,)
+        assert np.max(np.abs(batch - scalar)) <= 1e-12 * np.max(np.abs(values))
+
     def test_clamping_inherited_per_dimension(self):
         mesh = build_mesh(UNIT2, [4, 4])
         t = build_tensor(lambda v: v[0] + v[1], mesh)

@@ -323,6 +323,9 @@ class TestMalformedInputs:
             # the tag names an output file, pnl_<tag>.csv
             ("horizon tag",
              "blocks.json: block 1 ('vols'): horizon tag 'a/b' is not [A-Za-z0-9_-]+"),
+            # a misspelt horizons would otherwise drop the 60d horizon silently
+            ("misspelt key", "blocks.json: block 1 ('vols'): unknown key 'horizonz' "
+             "(a block takes name, factors, prefix, k, horizons)"),
         ],
     )
     def test_malformed_file_exits_2(self, swaptions_files, tmp_path, pricer_calls, case, message):
@@ -350,6 +353,8 @@ class TestMalformedInputs:
             del doc["blocks"][0]["name"]
         elif case == "horizon tag":
             doc["blocks"][1]["horizons"] = ["10d", "a/b"]
+        elif case == "misspelt key":
+            doc["blocks"][1]["horizonz"] = doc["blocks"][1].pop("horizons")
         else:
             doc["blocks"][1]["factors"][0] = "rate:nope:1"
         scenarios, blocks = tmp_path / "scenarios.csv", tmp_path / "blocks.json"

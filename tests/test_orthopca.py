@@ -1,5 +1,7 @@
 """PCA models, block reduction and Orthogonal Chebyshev Sliders."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from chebslider import (
     shocked_pricer,
 )
 from chebslider.demo import swaps_demo, swaptions_demo
+from chebslider.orthopca import orthogonal_slider_from_dict, orthogonal_slider_to_dict
 from chebslider.riskengine import BlockLayout
 
 from .oracles import InstrumentedPricer
@@ -424,6 +427,36 @@ class TestOrthogonalSlider:
         for m1, m2 in zip(os_.models, os2.models):
             assert np.array_equal(m1.components, m2.components)
             assert np.array_equal(m1.mean, m2.mean)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("k", r"block 'a': components of shape \(2, 3\), expected \(k=1, 3 coordinates\)"),
+            ("mean", r"block 'b': mean of 2 entries for 3 coordinates"),
+            # k and components agree, but the blocks no longer span the slider
+            ("width", r"blocks' k sum to 3, the slider has 4 coordinates"),
+            ("base", r"base shock of shape \(5,\), expected \(6,\)"),
+        ],
+    )
+    def test_loader_rejects_copies_that_disagree(self, edit, message):
+        rng = np.random.default_rng(18)
+        spec = PcaBlockSpec((PcaBlock("a", (0, 1, 2), 2), PcaBlock("b", (3, 4, 5), 2)))
+        os_ = build_orthogonal_slider(
+            _linear_pricer(np.ones(6)), _correlated_history(rng, 90, 6), spec,
+            SliderConfig((2, 1, 1), 5), np.zeros(6),
+        )
+        doc = json.loads(json.dumps(orthogonal_slider_to_dict(os_)))
+        if edit == "k":
+            doc["blocks"][0]["k"] = 1
+        elif edit == "mean":
+            doc["blocks"][1]["mean"].pop()
+        elif edit == "base":
+            doc["base_shock"].pop()
+        else:
+            doc["blocks"][1]["k"] = 1
+            doc["blocks"][1]["components"].pop()
+        with pytest.raises(ArgumentError, match=message):
+            orthogonal_slider_from_dict(doc)
 
 
 class TestCallerArraysUntouched:

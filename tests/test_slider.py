@@ -436,6 +436,12 @@ class TestSerialization:
         with pytest.raises(ArgumentError, match=message):
             slider_from_dict(doc)
 
+    def test_rejects_values_short_of_the_mesh(self):
+        doc = slider_to_dict(self._sample_slider())
+        doc["slides"][0]["values"].pop()
+        with pytest.raises(ArgumentError, match=r"slide 0 \(0, 1\): 24 values for a mesh of 25"):
+            slider_from_dict(doc)
+
     def test_json_document_is_plain_data(self):
         doc = json.loads(json.dumps(slider_to_dict(self._sample_slider())))
         assert doc["schema_version"] == 1
