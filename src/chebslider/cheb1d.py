@@ -83,20 +83,23 @@ def _sign_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChebyshevGrid:
-    """degree + 1 Chebyshev points on a domain, ascending, endpoints included."""
+    """Chebyshev points on a domain, ascending, endpoints included; they fix the weights."""
 
-    degree: int
     domain: Domain1D
     nodes: np.ndarray
-    weights: np.ndarray = field(repr=False, compare=False, default=None)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.weights is None:
-            object.__setattr__(self, "weights", _sign_weights(self.degree))
+        nodes = np.array(self.nodes, dtype=float)  # a read-only copy
+        if nodes.ndim != 1 or nodes.size == 0:
+            raise ArgumentError(f"nodes must be a non-empty 1-D array, got shape {nodes.shape}")
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", _sign_weights(nodes.size - 1))
 
     @property
     def size(self) -> int:
-        return self.degree + 1
+        return self.nodes.size
 
 
 def _unit_points(n: int) -> np.ndarray:
@@ -119,8 +122,7 @@ def chebyshev_points(n: int, domain: Domain1D) -> ChebyshevGrid:
         nodes = domain.mid + 0.5 * domain.width * _unit_points(n)
         nodes[0] = domain.lo
         nodes[-1] = domain.hi
-    nodes.flags.writeable = False
-    return ChebyshevGrid(degree=n, domain=domain, nodes=nodes)
+    return ChebyshevGrid(domain=domain, nodes=nodes)
 
 
 def chebyshev_points_centered(n: int, center: float, halfwidth: float) -> ChebyshevGrid:
@@ -140,8 +142,7 @@ def chebyshev_points_centered(n: int, center: float, halfwidth: float) -> Chebys
     else:
         nodes = center + halfwidth * _unit_points(n)
         domain = Domain1D(float(nodes[0]), float(nodes[-1]))
-    nodes.flags.writeable = False
-    return ChebyshevGrid(degree=n, domain=domain, nodes=nodes)
+    return ChebyshevGrid(domain=domain, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -192,11 +193,6 @@ def barycentric_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
     return out
 
 
-# Work arrays hold at most this many values (128 KB each), so repeated calls
-# reuse heap pages rather than have glibc trim them and fault them in again.
-_BLOCK_VALUES = 1 << 14
-
-
 def barycentric_eval_many(
     nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
@@ -207,45 +203,34 @@ def barycentric_eval_many(
     num += q * v_j, then num / den. An exact node hit makes that quotient
     non-finite, as does an overflow next to a node; such a point takes the
     nearest node's value, which for a hit is the stored one, as in
-    barycentric_eval. The points are worked in blocks of rows.
+    barycentric_eval.
     """
     xs = np.asarray(xs, dtype=float)
-    s = xs.shape[0]
-    out = np.empty(s)
-    step = max(1, min(s, _BLOCK_VALUES))
-    num, den, q = np.empty(step), np.empty(step), np.empty(step)
-    terms = list(zip(weights.tolist(), nodes.tolist(), values.tolist()))
+    num, den, q = np.zeros(xs.shape), np.zeros(xs.shape), np.empty(xs.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for r in range(0, s, step):
-            x = xs[r : r + step]
-            nu, de, qq = num[: len(x)], den[: len(x)], q[: len(x)]
-            nu.fill(0.0)
-            de.fill(0.0)
-            for wj, xj, vj in terms:
-                np.subtract(x, xj, out=qq)
-                np.divide(wj, qq, out=qq)
-                de += qq
-                qq *= vj
-                nu += qq
-            o = np.divide(nu, de, out=out[r : r + step])
-            if not np.isfinite(o).all():
-                snap = np.flatnonzero(~np.isfinite(o))
-                o[snap] = values[np.argmin(np.abs(x[snap, None] - nodes), axis=1)]
+        for wj, xj, vj in zip(weights.tolist(), nodes.tolist(), values.tolist()):
+            np.subtract(xs, xj, out=q)
+            np.divide(wj, q, out=q)
+            den += q
+            q *= vj
+            num += q
+        out = np.divide(num, den, out=num)
+    snap = np.flatnonzero(~np.isfinite(out))
+    if snap.size:
+        out[snap] = values[np.argmin(np.abs(xs[snap, None] - nodes), axis=1)]
     return out
 
 
 def barycentric_basis(nodes: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(s, m) matrix of the Lagrange basis at each point: row i holds l_j(xs[i]).
+    """(m, s) matrix of the Lagrange basis at each point: column i holds l_j(xs[i]).
 
-    `barycentric_basis(...) @ values` is the interpolant at every point. The
-    basis is built node-major, as an (m, s) array whose rows are the terms
-    q_j = w_j / (x - x_j) over all points; the result is its transpose, so
-    `.T` gives the C-contiguous (m, s) array back. Each denominator adds the
-    q_j in node order, barycentric_eval's order, so every row equals the
-    scalar rule's q_j / den bit for bit. A row whose denominator is not
-    finite (an exact node hit, or 1/(x - node) overflowing next to a node)
-    is one-hot at the nearest node, as in barycentric_eval, so node hits
-    reproduce stored values bit for bit.
+    `values @ barycentric_basis(...)` is the interpolant at every point. Row j
+    holds the terms q_j = w_j / (x - x_j) over all points, divided by their
+    denominator. Each denominator adds the q_j in node order, barycentric_eval's
+    order, so every entry equals the scalar rule's q_j / den bit for bit. A
+    column whose denominator is not finite (an exact node hit, or 1/(x - node)
+    overflowing next to a node) is one-hot at the nearest node, as in
+    barycentric_eval, so node hits reproduce stored values bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     diff = xs - nodes[:, None]
@@ -261,7 +246,7 @@ def barycentric_basis(nodes: np.ndarray, weights: np.ndarray, xs: np.ndarray) ->
     if snap.size:
         q[:, snap] = 0.0
         q[np.argmin(np.abs(diff[:, snap]), axis=0), snap] = 1.0
-    return q.T
+    return q
 
 
 def _clamp_coordinate(x: float, domain: Domain1D, clamp_counter: ClampCounter | None) -> float:

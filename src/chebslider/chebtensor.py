@@ -189,13 +189,13 @@ def eval_tensor_many(
     s = xs.shape[0]
     g = grids[-1]
     # work[p, i]: the values with the last axes already collapsed at point i.
-    work = t.values.reshape(-1, g.size) @ barycentric_basis(g.nodes, g.weights, clipped[-1]).T
+    work = t.values.reshape(-1, g.size) @ barycentric_basis(g.nodes, g.weights, clipped[-1])
     for axis in range(len(grids) - 2, -1, -1):
         g = grids[axis]
         work = np.einsum(
             "pjs,js->ps",
             work.reshape(math.prod(shape[:axis]), g.size, s),
-            barycentric_basis(g.nodes, g.weights, clipped[axis]).T,
+            barycentric_basis(g.nodes, g.weights, clipped[axis]),
         )
     return work.reshape(s)
 

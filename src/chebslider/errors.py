@@ -39,3 +39,8 @@ class MissingCurveError(ChebSliderError, KeyError):
 
 class UnknownFactorError(ChebSliderError, KeyError):
     """A risk-factor name is not part of the scenario set."""
+
+
+def error_detail(exc: Exception) -> str:
+    """The message for a malformed input file; a bare KeyError names the missing key."""
+    return f"missing key {exc}" if type(exc) is KeyError else str(exc)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cheb1d import ClampCounter, Domain1D
 from .chebtensor import HyperRectangle
-from .errors import ArgumentError, ConfigurationError, ParameterError
+from .errors import ArgumentError, ChebSliderError, ConfigurationError, ParameterError, error_detail
 from .slider import (
     SCHEMA_VERSION,
     Slider,
@@ -330,38 +330,49 @@ def orthogonal_slider_to_dict(os_: OrthogonalSlider) -> dict:
 
 
 def orthogonal_slider_from_dict(doc: dict) -> OrthogonalSlider:
-    if doc.get("kind") != "orthogonal_chebyshev_slider":
-        raise ArgumentError(f"not an orthogonal slider document: kind={doc.get('kind')!r}")
+    """The slider an orthogonal_slider_to_dict document holds; checks a build's block rules."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind != "orthogonal_chebyshev_slider":
+        raise ArgumentError(f"not an orthogonal slider document: kind={kind!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ArgumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
     blocks = []
     models = []
-    for bd in doc["blocks"]:
-        block = PcaBlock(name=bd["name"], coord_indices=tuple(bd["coord_indices"]), k=int(bd["k"]))
-        blocks.append(block)
-        mean = np.asarray(bd["mean"], dtype=float)
-        components = np.asarray(bd["components"], dtype=float)
-        explained = np.asarray(bd["explained_variance"], dtype=float)
-        n = len(block.coord_indices)
-        if components.shape != (block.k, n):
-            raise ArgumentError(
-                f"block {block.name!r}: components of shape {components.shape}, "
-                f"expected (k={block.k}, {n} coordinates)"
-            )
-        if mean.shape != (n,):
-            raise ArgumentError(
-                f"block {block.name!r}: mean of {mean.size} entries for {n} coordinates"
-            )
-        for a in (mean, components, explained):
-            a.flags.writeable = False
-        models.append(PcaModel(mean=mean, components=components, explained_variance=explained))
+    where = ""
+    try:
+        for i, bd in enumerate(doc["blocks"]):
+            where = f", block {i}"
+            block = PcaBlock(bd["name"], tuple(bd["coord_indices"]), int(bd["k"]))
+            mean = np.asarray(bd["mean"], dtype=float)
+            components = np.asarray(bd["components"], dtype=float)
+            explained = np.asarray(bd["explained_variance"], dtype=float)
+            n = len(block.coord_indices)
+            if components.shape != (block.k, n):
+                raise ArgumentError(
+                    f"block {block.name!r}: components of shape {components.shape}, "
+                    f"expected (k={block.k}, {n} coordinates)"
+                )
+            if mean.shape != (n,):
+                raise ArgumentError(
+                    f"block {block.name!r}: mean of {mean.size} entries for {n} coordinates"
+                )
+            for a in (mean, components, explained):
+                a.flags.writeable = False
+            blocks.append(block)
+            models.append(PcaModel(mean, components, explained))
+        where = ""
+        slider = slider_from_dict(doc["slider"])
+        base = np.asarray(doc["base_shock"], dtype=float)
+    except ChebSliderError:  # a check's own error, already in the documented form
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"orthogonal slider document{where}: {error_detail(exc)}") from None
     spec = PcaBlockSpec(tuple(blocks))
-    slider = slider_from_dict(doc["slider"])
+    spec.validate_cover(spec.input_dim)
     if spec.reduced_dim != slider.ndim:
         raise ArgumentError(
             f"blocks' k sum to {spec.reduced_dim}, the slider has {slider.ndim} coordinates"
         )
-    base = np.asarray(doc["base_shock"], dtype=float)
     if base.shape != (spec.input_dim,):
         raise ArgumentError(f"base shock of shape {base.shape}, expected ({spec.input_dim},)")
     base.flags.writeable = False

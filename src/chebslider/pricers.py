@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     MissingCurveError,
     ModelDomainError,
     ParameterError,
+    error_detail,
 )
 
 __all__ = [
@@ -205,9 +206,9 @@ class SwaptionTrade:
     """European option (expiry) on a forward-starting swap."""
 
     expiry: float
-    underlying: SwapTrade
     strike: float
     payer: bool
+    underlying: SwapTrade
 
     def __post_init__(self) -> None:
         if self.expiry <= 0:
@@ -552,28 +553,22 @@ def shocked_pricer(portfolio, market: Market) -> ShockedPortfolioPricer:
 # Market / portfolio files (JSON, schema version 1)
 # ---------------------------------------------------------------------------
 
+def _arrays_to_dict(obj) -> dict:
+    return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
+
+
 def save_market(market: Market, path) -> None:
     doc = {
         "version": 1,
-        "curves": {
-            cid: {"tenors": c.tenors.tolist(), "zero_rates": c.zero_rates.tolist()}
-            for cid, c in market.curves.items()
-        },
-        "vol_surface": None
-        if market.surface is None
-        else {
-            "expiries": market.surface.expiries.tolist(),
-            "tenors": market.surface.tenors.tolist(),
-            "vols": market.surface.vols.tolist(),
-        },
+        "curves": {cid: _arrays_to_dict(c) for cid, c in market.curves.items()},
+        "vol_surface": None if market.surface is None else _arrays_to_dict(market.surface),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
 
 
 def _malformed(path, where: str, exc: Exception) -> ConfigurationError:
-    detail = f"missing key {exc}" if type(exc) is KeyError else str(exc)
-    return ConfigurationError(f"{path}{where}: {detail}")
+    return ConfigurationError(f"{path}{where}: {error_detail(exc)}")
 
 
 def load_market(path) -> Market:
@@ -585,9 +580,7 @@ def load_market(path) -> Market:
         curves = {}
         for cid, c in doc["curves"].items():
             where = f", curve {cid!r}"
-            curves[cid] = curve = ZeroCurve(
-                tenors=_numbers(c, "tenors"), zero_rates=_numbers(c, "zero_rates")
-            )
+            curves[cid] = curve = _arrays_from_dict(ZeroCurve, c)
             worst = max(curve.zero_rates.tolist(), key=abs)
             if abs(worst) > MAX_ZERO_RATE:
                 raise ValueError(
@@ -595,30 +588,10 @@ def load_market(path) -> Market:
                 )
         where = ", vol_surface"
         surf = doc.get("vol_surface")
-        surface = None
-        if surf is not None:
-            surface = VolSurface(
-                expiries=_numbers(surf, "expiries"),
-                tenors=_numbers(surf, "tenors"),
-                vols=_numbers(surf, "vols"),
-            )
+        surface = None if surf is None else _arrays_from_dict(VolSurface, surf)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise _malformed(path, where, exc) from None
     return Market(curves=curves, surface=surface)
-
-
-def _swap_to_dict(t: SwapTrade) -> dict:
-    return {
-        "type": "swap",
-        "notional": t.notional,
-        "fixed_rate": t.fixed_rate,
-        "maturity": t.maturity,
-        "frequency": t.frequency,
-        "payer": t.payer,
-        "discount_curve": t.discount_curve,
-        "forecast_curve": t.forecast_curve,
-        "start": t.start,
-    }
 
 
 def _flag(d: dict, key: str) -> bool:
@@ -632,8 +605,8 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
-def _number(d: dict, key: str, default: float | None = None) -> float:
-    raw = d[key] if default is None else d.get(key, default)
+def _number(d: dict, key: str) -> float:
+    raw = d[key]
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"{key!r} must be a finite number, got {value!r}")
@@ -650,66 +623,55 @@ def _numbers(d: dict, key: str) -> np.ndarray:
     return values
 
 
-def _known_keys(d: dict, cls, where: str = "") -> None:
-    """Reject a key that is no field of cls, such as a misspelt optional one."""
-    known = {"type", *(f.name for f in fields(cls))}
-    unknown = [k for k in d if k not in known]
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}{where}")
+def _arrays_from_dict(cls, d: dict):
+    return cls(**{f.name: _numbers(d, f.name) for f in fields(cls)})
 
 
-def _curve_id(d: dict, key: str, default: str) -> str:
-    cid = d.get(key, default)
+def _curve_id(d: dict, key: str) -> str:
+    cid = d[key]
     if not isinstance(cid, str):
         raise TypeError(f"{key!r} must be a curve name, got {cid!r}")
     return cid
 
 
-def _swap_from_dict(d: dict, where: str = "") -> SwapTrade:
-    _known_keys(d, SwapTrade, where)
-    return SwapTrade(
-        notional=_number(d, "notional"),
-        fixed_rate=_number(d, "fixed_rate"),
-        maturity=_number(d, "maturity"),
-        frequency=_number(d, "frequency"),
-        payer=_flag(d, "payer"),
-        discount_curve=_curve_id(d, "discount_curve", "discount"),
-        forecast_curve=_curve_id(d, "forecast_curve", "forecast"),
-        start=_number(d, "start", 0.0),
-    )
+# A trade file entry holds its class's fields, in declaration order, under
+# this "type"; a nested trade is an entry of its own.
+_TRADE_TYPES = {"swap": SwapTrade, "swaption": SwaptionTrade}
+_TYPE_NAMES = {cls: name for name, cls in _TRADE_TYPES.items()}
+# Field reader by annotation.
+_READERS = {
+    "float": _number,
+    "bool": _flag,
+    "str": _curve_id,
+    "SwapTrade": lambda d, key: _read_fields(SwapTrade, d[key], f" in {key}"),
+}
+
+
+def _read_fields(cls, d: dict, where: str = ""):
+    """cls from its file entry; an omitted field that has a default takes it."""
+    known = {"type", *(f.name for f in fields(cls))}
+    unknown = [k for k in d if k not in known]  # such as a misspelt optional key
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}{where}")
+    return cls(**{
+        f.name: _READERS[f.type](d, f.name)
+        for f in fields(cls)
+        if f.name in d or f.default is MISSING
+    })
+
+
+def _trade_to_dict(t) -> dict:
+    doc = {"type": _TYPE_NAMES[type(t)]}
+    for f in fields(t):
+        value = getattr(t, f.name)
+        doc[f.name] = _trade_to_dict(value) if is_dataclass(value) else value
+    return doc
 
 
 def save_portfolio(portfolio, path) -> None:
-    trades = []
-    for t in portfolio:
-        if isinstance(t, SwaptionTrade):
-            trades.append(
-                {
-                    "type": "swaption",
-                    "expiry": t.expiry,
-                    "strike": t.strike,
-                    "payer": t.payer,
-                    "underlying": _swap_to_dict(t.underlying),
-                }
-            )
-        else:
-            trades.append(_swap_to_dict(t))
+    trades = [_trade_to_dict(t) for t in portfolio]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"version": 1, "trades": trades}, fh, indent=2)
-
-
-def _trade_from_dict(d: dict):
-    if d["type"] == "swap":
-        return _swap_from_dict(d)
-    if d["type"] == "swaption":
-        _known_keys(d, SwaptionTrade)
-        return SwaptionTrade(
-            expiry=_number(d, "expiry"),
-            strike=_number(d, "strike"),
-            payer=_flag(d, "payer"),
-            underlying=_swap_from_dict(d["underlying"], " in underlying"),
-        )
-    raise ConfigurationError(f"unknown trade type {d['type']!r}")
 
 
 def load_portfolio(path) -> list:
@@ -721,7 +683,10 @@ def load_portfolio(path) -> list:
         out = []
         for i, d in enumerate(doc["trades"]):
             where = f", trade {i}"
-            out.append(_trade_from_dict(d))
+            cls = _TRADE_TYPES.get(d["type"]) if isinstance(d["type"], str) else None
+            if cls is None:
+                raise ConfigurationError(f"unknown trade type {d['type']!r}")
+            out.append(_read_fields(cls, d))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise _malformed(path, where, exc) from None
     if not out:

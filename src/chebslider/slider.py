@@ -27,7 +27,7 @@ from .chebtensor import (
     eval_tensor,
     eval_tensor_many,
 )
-from .errors import ArgumentError, ConfigurationError, SamplingError
+from .errors import ArgumentError, ChebSliderError, ConfigurationError, SamplingError, error_detail
 
 __all__ = [
     "SliderConfig",
@@ -262,43 +262,44 @@ def slider_to_dict(s: Slider) -> dict:
     }
 
 
-def _grid_from_nodes(nodes: list[float], domain: list[float]) -> ChebyshevGrid:
-    arr = np.asarray(nodes, dtype=float)
-    arr.flags.writeable = False
-    return ChebyshevGrid(
-        degree=arr.size - 1,
-        domain=Domain1D(float(domain[0]), float(domain[1])),
-        nodes=arr,
-    )
-
-
 def slider_from_dict(doc: dict) -> Slider:
-    if doc.get("kind") != "chebyshev_slider":
-        raise ArgumentError(f"not a slider document: kind={doc.get('kind')!r}")
+    """The slider a slider_to_dict document holds; a malformed one raises ArgumentError."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind != "chebyshev_slider":
+        raise ArgumentError(f"not a slider document: kind={kind!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ArgumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    pivot = np.asarray(doc["pivot"], dtype=float)
     slides = []
-    for i, sd in enumerate(doc["slides"]):
-        grids = tuple(
-            _grid_from_nodes(nd, dom) for nd, dom in zip(sd["nodes"], sd["domains"])
-        )
-        coords = tuple(int(i) for i in sd["coord_indices"])
-        if len(coords) != len(grids):
-            raise ArgumentError(f"a slide of {len(grids)} grids lists coordinates {coords}")
-        mesh = ChebyshevMesh(grids)
-        values = np.asarray(sd["values"], dtype=float)
-        if values.size != mesh.size:
-            raise ArgumentError(
-                f"slide {i} {coords}: {values.size} values for a mesh of {mesh.size} nodes"
+    where = ""
+    try:
+        pivot = np.asarray(doc["pivot"], dtype=float)
+        pivot_value = float(doc["pivot_value"])
+        for i, sd in enumerate(doc["slides"]):
+            where = f", slide {i}"
+            grids = tuple(
+                ChebyshevGrid(Domain1D(*map(float, dom)), nodes)
+                for nodes, dom in zip(sd["nodes"], sd["domains"])
             )
-        values = values.reshape(mesh.shape)
-        values.flags.writeable = False
-        slides.append(Slide(coords, ChebyshevTensor(mesh=mesh, values=values)))
+            coords = tuple(int(i) for i in sd["coord_indices"])
+            if len(coords) != len(grids):
+                raise ArgumentError(f"a slide of {len(grids)} grids lists coordinates {coords}")
+            mesh = ChebyshevMesh(grids)
+            values = np.asarray(sd["values"], dtype=float)
+            if values.size != mesh.size:
+                raise ArgumentError(
+                    f"slide {i} {coords}: {values.size} values for a mesh of {mesh.size} nodes"
+                )
+            values = values.reshape(mesh.shape)
+            values.flags.writeable = False
+            slides.append(Slide(coords, ChebyshevTensor(mesh=mesh, values=values)))
+    except ChebSliderError:  # a check's own error, already in the documented form
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"slider document{where}: {error_detail(exc)}") from None
     covered = sorted(j for slide in slides for j in slide.coord_indices)
     if covered != list(range(pivot.size)):
         raise ArgumentError(
             f"slide coordinates must be 0..{pivot.size - 1}, each once, got {covered}"
         )
     pivot.flags.writeable = False
-    return Slider(pivot=pivot, pivot_value=float(doc["pivot_value"]), slides=tuple(slides))
+    return Slider(pivot=pivot, pivot_value=pivot_value, slides=tuple(slides))

@@ -220,10 +220,10 @@ class TestBarycentricEval:
         assert batch.shape == xs.shape
         assert np.array_equal(bits(batch), bits(scalar))
 
-    def test_kernel_blocks_rows_and_keeps_zero_rows(self):
+    def test_kernel_is_scalar_rule_on_many_points_and_on_none(self):
         g = chebyshev_points(6, UNIT)
         vals = np.random.default_rng(8).standard_normal(7)
-        xs = np.concatenate([np.linspace(-1, 1, 40_001), g.nodes])  # more rows than one block
+        xs = np.concatenate([np.linspace(-1, 1, 40_001), g.nodes])
         scalar = np.array([barycentric_eval(g.nodes, g.weights, vals, float(x)) for x in xs])
         assert np.array_equal(bits(barycentric_eval_many(g.nodes, g.weights, vals, xs)), bits(scalar))
         assert barycentric_eval_many(g.nodes, g.weights, vals, np.empty(0)).shape == (0,)
@@ -240,14 +240,14 @@ class TestBarycentricEval:
         g = chebyshev_points(6, UNIT)  # the middle node is exactly 0.0
         vals = np.random.default_rng(3).standard_normal(7)
         xs = np.concatenate([g.nodes, [np.nextafter(0.0, 1.0), -0.3, 0.77]])
-        basis = barycentric_basis(g.nodes, g.weights, xs)
-        assert basis.shape == (10, 7)
-        assert np.array_equal(basis[:7], np.eye(7))
+        basis = barycentric_basis(g.nodes, g.weights, xs)  # node-major: one column per point
+        assert basis.shape == (7, 10)
+        assert np.array_equal(basis[:, :7], np.eye(7))
         # 1/(x - 0.0) overflows next to the zero node: one-hot there
-        assert np.array_equal(basis[7], np.eye(7)[3])
-        assert np.allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.array_equal(basis[:, 7], np.eye(7)[3])
+        assert np.allclose(basis.sum(axis=0), 1.0, rtol=0, atol=1e-15)
         p = ChebyshevInterpolant1D(grid=g, values=vals)
-        assert np.allclose(basis @ vals, eval_barycentric_many(p, xs), rtol=1e-14, atol=1e-14)
+        assert np.allclose(vals @ basis, eval_barycentric_many(p, xs), rtol=1e-14, atol=1e-14)
 
     @given(
         m=st.integers(1, 16),
@@ -263,11 +263,12 @@ class TestBarycentricEval:
             lo = rng.uniform(-5.0, 5.0)
             g = chebyshev_points(m - 1, Domain1D(lo, lo + rng.uniform(0.1, 4.0)))
         xs = rng.permutation(_kernel_points(g, rng))
-        expected = np.array([_scalar_basis_row(g.nodes, g.weights, float(x)) for x in xs])
+        # column i of the node-major basis is point i's scalar row
+        expected = np.array([_scalar_basis_row(g.nodes, g.weights, float(x)) for x in xs]).T
         assert np.array_equal(bits(barycentric_basis(g.nodes, g.weights, xs)), bits(expected))
         # a single point too, whose denominator numpy would sum pairwise
         one = barycentric_basis(g.nodes, g.weights, xs[:1])
-        assert np.array_equal(bits(one), bits(expected[:1]))
+        assert np.array_equal(bits(one), bits(expected[:, :1]))
 
     def test_polynomial_reproduction_relative_1e12(self):
         rng = np.random.default_rng(10)

@@ -757,6 +757,13 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: chebslider {shlex.join(argv)}")
 
 
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # In order, from one directory: the file-based run reads what `demo` wrote.
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands():
+        assert _run_quietly(argv) == (0, ""), f"chebslider {shlex.join(argv)}"
+
+
 class TestSweep:
     def test_grid_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -428,6 +428,16 @@ class TestOrthogonalSlider:
             assert np.array_equal(m1.components, m2.components)
             assert np.array_equal(m1.mean, m2.mean)
 
+    @staticmethod
+    def _saved_doc():
+        rng = np.random.default_rng(18)
+        spec = PcaBlockSpec((PcaBlock("a", (0, 1, 2), 2), PcaBlock("b", (3, 4, 5), 2)))
+        os_ = build_orthogonal_slider(
+            _linear_pricer(np.ones(6)), _correlated_history(rng, 90, 6), spec,
+            SliderConfig((2, 1, 1), 5), np.zeros(6),
+        )
+        return json.loads(json.dumps(orthogonal_slider_to_dict(os_)))
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -439,13 +449,7 @@ class TestOrthogonalSlider:
         ],
     )
     def test_loader_rejects_copies_that_disagree(self, edit, message):
-        rng = np.random.default_rng(18)
-        spec = PcaBlockSpec((PcaBlock("a", (0, 1, 2), 2), PcaBlock("b", (3, 4, 5), 2)))
-        os_ = build_orthogonal_slider(
-            _linear_pricer(np.ones(6)), _correlated_history(rng, 90, 6), spec,
-            SliderConfig((2, 1, 1), 5), np.zeros(6),
-        )
-        doc = json.loads(json.dumps(orthogonal_slider_to_dict(os_)))
+        doc = self._saved_doc()
         if edit == "k":
             doc["blocks"][0]["k"] = 1
         elif edit == "mean":
@@ -455,6 +459,50 @@ class TestOrthogonalSlider:
         else:
             doc["blocks"][1]["k"] = 1
             doc["blocks"][1]["components"].pop()
+        with pytest.raises(ArgumentError, match=message):
+            orthogonal_slider_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "index, covered",
+        [
+            # if accepted, evaluation would read coordinate 0 twice and 1 never
+            (0, r"\[0, 0, 2, 3, 4, 5\]"),
+            (99, r"\[0, 2, 3, 4, 5, 99\]"),  # evaluation would fail on a bare IndexError
+        ],
+        ids=["repeated", "out-of-range"],
+    )
+    def test_loader_checks_the_builds_block_cover(self, index, covered):
+        doc = self._saved_doc()
+        doc["blocks"][0]["coord_indices"][1] = index
+        message = r"blocks must cover coordinates 0\.\.5 exactly; got " + covered
+        with pytest.raises(ConfigurationError, match=message):
+            orthogonal_slider_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("ragged components",
+             r"^orthogonal slider document, block 0: setting an array element with a sequence"),
+            ("no mean", r"^orthogonal slider document, block 1: missing key 'mean'$"),
+            ("text node",
+             r"^slider document, slide 1: could not convert string to float: 'x'$"),
+            ("no blocks", r"^orthogonal slider document: missing key 'blocks'$"),
+            ("list document", r"^not an orthogonal slider document: kind=None$"),
+        ],
+        ids=["ragged-components", "no-mean", "text-node", "no-blocks", "list-document"],
+    )
+    def test_malformed_fields_raise_argument_error(self, edit, message):
+        doc = self._saved_doc()
+        if edit == "ragged components":
+            doc["blocks"][0]["components"][1].pop()
+        elif edit == "no mean":
+            del doc["blocks"][1]["mean"]
+        elif edit == "text node":
+            doc["slider"]["slides"][1]["nodes"][0][2] = "x"
+        elif edit == "no blocks":
+            del doc["blocks"]
+        else:
+            doc = [doc]
         with pytest.raises(ArgumentError, match=message):
             orthogonal_slider_from_dict(doc)
 

@@ -1,5 +1,7 @@
 """Reference pricers: curves, swaps, Black swaptions, shock application."""
 
+import dataclasses
+import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -630,6 +632,55 @@ class TestMarketPortfolioFiles:
         save_portfolio(list(demo.portfolio), path)
         p2 = load_portfolio(path)
         assert p2 == list(demo.portfolio)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_portfolio_round_trip_every_field(self, tmp_path_factory, data):
+        number = st.floats(-1e9, 1e9, allow_nan=False)
+        curve = st.text(max_size=8)
+
+        def swap(start):
+            frequency = data.draw(st.sampled_from((0.25, 0.5, 1.0)))
+            return SwapTrade(
+                notional=data.draw(number),
+                fixed_rate=data.draw(number),
+                maturity=start + frequency * data.draw(st.integers(1, 100)),
+                frequency=frequency,
+                payer=data.draw(st.booleans()),
+                discount_curve=data.draw(curve),
+                forecast_curve=data.draw(curve),
+                start=start,
+            )
+
+        trades = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            expiry = data.draw(st.floats(0.01, 30.0))
+            if data.draw(st.booleans()):
+                trades.append(swap(expiry))
+            else:
+                trades.append(SwaptionTrade(
+                    expiry=expiry,
+                    strike=data.draw(st.floats(1e-6, 1.0)),
+                    payer=data.draw(st.booleans()),
+                    underlying=swap(expiry),
+                ))
+        path = tmp_path_factory.mktemp("book") / "portfolio.json"
+        save_portfolio(trades, path)
+        assert load_portfolio(path) == trades
+
+    @pytest.mark.parametrize(
+        "key, default",
+        [("start", 0.0), ("discount_curve", "discount"), ("forecast_curve", "forecast")],
+    )
+    def test_omitted_optional_field_takes_the_dataclass_default(self, tmp_path, key, default):
+        trade = SwapTrade(notional=1e6, fixed_rate=0.02, maturity=5.0, frequency=1.0, payer=True,
+                          discount_curve="ois", forecast_curve="libor", start=1.0)
+        path = tmp_path / "portfolio.json"
+        save_portfolio([trade], path)
+        doc = json.loads(path.read_text())
+        del doc["trades"][0][key]
+        path.write_text(json.dumps(doc))
+        assert load_portfolio(path) == [dataclasses.replace(trade, **{key: default})]
 
     def test_swap_only_market_without_surface(self, tmp_path):
         demo = swaps_demo()

@@ -308,8 +308,9 @@ class TestEvalSlider:
     def test_transient_memory_stays_small(self):
         # Transient arrays past glibc's trim threshold are handed back to the
         # OS after each call and faulted in again on the next, which shows up
-        # as wall time in every repeated evaluation. The 1-D kernel therefore
-        # works in row blocks; this bounds what one call allocates.
+        # as wall time in every repeated evaluation; this bounds what one call
+        # allocates. The 1-D kernel's work arrays take 24 bytes per point
+        # (numerator, denominator and one term), well under 4 * xs.nbytes.
         n = 20
         s = build_slider(lambda v: float(np.sum(np.cos(v))), unit_box(n), np.zeros(n),
                          SliderConfig((1,) * n, 5))
@@ -434,6 +435,15 @@ class TestSerialization:
         for sd, c in zip(doc["slides"], coords):
             sd["coord_indices"] = c
         with pytest.raises(ArgumentError, match=message):
+            slider_from_dict(doc)
+
+    # a nested list held one grid's nodes as a (1, 5) array and evaluated wrong
+    @pytest.mark.parametrize("nodes, shape", [("nested", r"\(1, 5\)"), ("empty", r"\(0,\)")])
+    def test_rejects_nodes_other_than_a_flat_list(self, nodes, shape):
+        doc = slider_to_dict(self._sample_slider())
+        grid_nodes = doc["slides"][1]["nodes"]
+        grid_nodes[0] = [grid_nodes[0]] if nodes == "nested" else []
+        with pytest.raises(ArgumentError, match="non-empty 1-D array, got shape " + shape):
             slider_from_dict(doc)
 
     def test_rejects_values_short_of_the_mesh(self):
