@@ -83,7 +83,7 @@ def _sign_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChebyshevGrid:
-    """Chebyshev points on a domain, ascending, endpoints included; they fix the weights."""
+    """Chebyshev nodes in order from domain.lo to domain.hi, or one inside; they fix the weights."""
 
     domain: Domain1D
     nodes: np.ndarray
@@ -93,6 +93,11 @@ class ChebyshevGrid:
         nodes = np.array(self.nodes, dtype=float)  # a read-only copy
         if nodes.ndim != 1 or nodes.size == 0:
             raise ArgumentError(f"nodes must be a non-empty 1-D array, got shape {nodes.shape}")
+        xs, d = nodes.tolist(), self.domain
+        ends = (xs[0], xs[-1]) == (d.lo, d.hi) if len(xs) > 1 else d.contains(xs[0])
+        if not (ends and all(a <= b for a, b in zip(xs, xs[1:]))):
+            raise ArgumentError(f"nodes {xs} do not ascend from {d.lo!r} to {d.hi!r}, "
+                                f"nor are they one node inside")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", _sign_weights(nodes.size - 1))
@@ -138,7 +143,7 @@ def chebyshev_points_centered(n: int, center: float, halfwidth: float) -> Chebys
         raise DomainError(f"invalid center/halfwidth: {center}, {halfwidth}")
     if n == 0:
         nodes = np.array([center])
-        domain = Domain1D(center - halfwidth, center + halfwidth)
+        domain = Domain1D(float(center - halfwidth), float(center + halfwidth))
     else:
         nodes = center + halfwidth * _unit_points(n)
         domain = Domain1D(float(nodes[0]), float(nodes[-1]))

@@ -95,7 +95,7 @@ class ChebyshevMesh:
 
 @dataclass(frozen=True)
 class ChebyshevTensor:
-    """Function samples on a Chebyshev mesh, stored row-major by multi-index."""
+    """Finite function samples on a Chebyshev mesh, stored row-major by multi-index."""
 
     mesh: ChebyshevMesh
     values: np.ndarray
@@ -105,6 +105,8 @@ class ChebyshevTensor:
             raise ArgumentError(
                 f"values shape {self.values.shape} does not match mesh shape {self.mesh.shape}"
             )
+        if not np.isfinite(self.values).all():
+            raise ArgumentError("tensor values must be finite")
 
 
 def build_mesh(box: HyperRectangle, points_per_dim) -> ChebyshevMesh:

@@ -4,6 +4,8 @@ Shocks are reduced block by block (one PCA model per risk-factor block, e.g.
 rates and volatilities); a Chebyshev Slider is then built for the composition
 of the pricer with the inverse transform, over the hull of the projected
 training shocks. Evaluating the slider on new shocks costs no pricer calls.
+A saved one is the documents walk of OrthogonalSlider, which checks its
+blocks against its models and its slider, loaded or built.
 """
 
 from __future__ import annotations
@@ -15,16 +17,14 @@ import numpy as np
 
 from .cheb1d import ClampCounter, Domain1D
 from .chebtensor import HyperRectangle
-from .errors import ArgumentError, ChebSliderError, ConfigurationError, ParameterError, error_detail
+from .documents import read_document, write_document
+from .errors import ArgumentError, ConfigurationError, ParameterError
 from .slider import (
-    SCHEMA_VERSION,
     Slider,
     SliderConfig,
     build_slider,
     eval_slider,
     eval_slider_many,
-    slider_from_dict,
-    slider_to_dict,
 )
 
 __all__ = [
@@ -192,6 +192,26 @@ class OrthogonalSlider:
     slider: Slider
     base_shock: np.ndarray
 
+    def __post_init__(self) -> None:
+        spec = self.block_spec
+        spec.validate_cover(spec.input_dim)
+        if len(self.models) != len(spec.blocks):
+            raise ArgumentError(f"{len(self.models)} PCA models for {len(spec.blocks)} blocks")
+        for b, m in zip(spec.blocks, self.models):
+            n = len(b.coord_indices)
+            if m.components.shape != (b.k, n):
+                raise ArgumentError(f"block {b.name!r}: components of shape {m.components.shape}, "
+                                    f"expected (k={b.k}, {n} coordinates)")
+            if m.mean.shape != (n,):
+                raise ArgumentError(f"block {b.name!r}: mean of {m.mean.size} entries for {n} "
+                                    f"coordinates")
+        if spec.reduced_dim != self.slider.ndim:
+            raise ArgumentError(f"blocks' k sum to {spec.reduced_dim}, the slider has "
+                                f"{self.slider.ndim} coordinates")
+        if self.base_shock.shape != (spec.input_dim,):
+            raise ArgumentError(f"base shock of shape {self.base_shock.shape}, "
+                                f"expected ({spec.input_dim},)")
+
     def project_full(self, shocks) -> np.ndarray:
         """Concatenated block projections of shocks (vector or row matrix)."""
         shocks = np.asarray(shocks, dtype=float)
@@ -309,74 +329,13 @@ def reconstruct_through(os_: OrthogonalSlider, shocks) -> np.ndarray:
 
 
 def orthogonal_slider_to_dict(os_: OrthogonalSlider) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "orthogonal_chebyshev_slider",
-        "base_shock": os_.base_shock.tolist(),
-        "blocks": [
-            {
-                "name": b.name,
-                "coord_indices": list(b.coord_indices),
-                "k": b.k,
-                "mean": m.mean.tolist(),
-                "components": m.components.tolist(),
-                "explained_variance": m.explained_variance.tolist(),
-                "zero_variance": m.zero_variance,
-            }
-            for b, m in zip(os_.block_spec.blocks, os_.models)
-        ],
-        "slider": slider_to_dict(os_.slider),
-    }
+    """The documents walk of the slider's fields, its plain slider nested; bit-exact in JSON."""
+    return write_document(os_, "orthogonal_chebyshev_slider")
 
 
 def orthogonal_slider_from_dict(doc: dict) -> OrthogonalSlider:
-    """The slider an orthogonal_slider_to_dict document holds; checks a build's block rules."""
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind != "orthogonal_chebyshev_slider":
-        raise ArgumentError(f"not an orthogonal slider document: kind={kind!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ArgumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    blocks = []
-    models = []
-    where = ""
-    try:
-        for i, bd in enumerate(doc["blocks"]):
-            where = f", block {i}"
-            block = PcaBlock(bd["name"], tuple(bd["coord_indices"]), int(bd["k"]))
-            mean = np.asarray(bd["mean"], dtype=float)
-            components = np.asarray(bd["components"], dtype=float)
-            explained = np.asarray(bd["explained_variance"], dtype=float)
-            n = len(block.coord_indices)
-            if components.shape != (block.k, n):
-                raise ArgumentError(
-                    f"block {block.name!r}: components of shape {components.shape}, "
-                    f"expected (k={block.k}, {n} coordinates)"
-                )
-            if mean.shape != (n,):
-                raise ArgumentError(
-                    f"block {block.name!r}: mean of {mean.size} entries for {n} coordinates"
-                )
-            for a in (mean, components, explained):
-                a.flags.writeable = False
-            blocks.append(block)
-            models.append(PcaModel(mean, components, explained))
-        where = ""
-        slider = slider_from_dict(doc["slider"])
-        base = np.asarray(doc["base_shock"], dtype=float)
-    except ChebSliderError:  # a check's own error, already in the documented form
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"orthogonal slider document{where}: {error_detail(exc)}") from None
-    spec = PcaBlockSpec(tuple(blocks))
-    spec.validate_cover(spec.input_dim)
-    if spec.reduced_dim != slider.ndim:
-        raise ArgumentError(
-            f"blocks' k sum to {spec.reduced_dim}, the slider has {slider.ndim} coordinates"
-        )
-    if base.shape != (spec.input_dim,):
-        raise ArgumentError(f"base shock of shape {base.shape}, expected ({spec.input_dim},)")
-    base.flags.writeable = False
-    return OrthogonalSlider(block_spec=spec, models=tuple(models), slider=slider, base_shock=base)
+    """The slider an orthogonal_slider_to_dict document holds, checked as a build is."""
+    return read_document(OrthogonalSlider, doc, "orthogonal_chebyshev_slider", "orthogonal slider")
 
 
 def save_orthogonal_slider(os_: OrthogonalSlider, path) -> None:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import CurveId, from_dict, to_dict
 from .errors import (
     ArgumentError,
     ConfigurationError,
@@ -167,8 +168,8 @@ class SwapTrade:
     maturity: float
     frequency: float
     payer: bool
-    discount_curve: str = "discount"
-    forecast_curve: str = "forecast"
+    discount_curve: CurveId = "discount"
+    forecast_curve: CurveId = "forecast"
     start: float = 0.0
 
     def __post_init__(self) -> None:
@@ -553,15 +554,11 @@ def shocked_pricer(portfolio, market: Market) -> ShockedPortfolioPricer:
 # Market / portfolio files (JSON, schema version 1)
 # ---------------------------------------------------------------------------
 
-def _arrays_to_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
-
-
 def save_market(market: Market, path) -> None:
     doc = {
         "version": 1,
-        "curves": {cid: _arrays_to_dict(c) for cid, c in market.curves.items()},
-        "vol_surface": None if market.surface is None else _arrays_to_dict(market.surface),
+        "curves": {cid: to_dict(c) for cid, c in market.curves.items()},
+        "vol_surface": None if market.surface is None else to_dict(market.surface),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -580,7 +577,7 @@ def load_market(path) -> Market:
         curves = {}
         for cid, c in doc["curves"].items():
             where = f", curve {cid!r}"
-            curves[cid] = curve = _arrays_from_dict(ZeroCurve, c)
+            curves[cid] = curve = from_dict(ZeroCurve, c)
             worst = max(curve.zero_rates.tolist(), key=abs)
             if abs(worst) > MAX_ZERO_RATE:
                 raise ValueError(
@@ -588,88 +585,20 @@ def load_market(path) -> Market:
                 )
         where = ", vol_surface"
         surf = doc.get("vol_surface")
-        surface = None if surf is None else _arrays_from_dict(VolSurface, surf)
+        surface = None if surf is None else from_dict(VolSurface, surf)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise _malformed(path, where, exc) from None
     return Market(curves=curves, surface=surface)
 
 
-def _flag(d: dict, key: str) -> bool:
-    if not isinstance(d[key], bool):
-        raise TypeError(f"{key!r} must be true or false, got {d[key]!r}")
-    return d[key]
-
-
-def _is_number(value) -> bool:
-    """A JSON number: float() also takes a boolean and a numeric string."""
-    return type(value) in (int, float)
-
-
-def _number(d: dict, key: str) -> float:
-    raw = d[key]
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
-    if not _is_number(raw):
-        raise TypeError(f"{key!r} must be a number, got {raw!r}")
-    return value
-
-
-def _numbers(d: dict, key: str) -> np.ndarray:
-    values = np.asarray(d[key], dtype=float)
-    bad = [v for v in np.asarray(d[key], dtype=object).flat if not _is_number(v)]
-    if bad:
-        raise TypeError(f"{key!r} must hold numbers, got {bad[0]!r}")
-    return values
-
-
-def _arrays_from_dict(cls, d: dict):
-    return cls(**{f.name: _numbers(d, f.name) for f in fields(cls)})
-
-
-def _curve_id(d: dict, key: str) -> str:
-    cid = d[key]
-    if not isinstance(cid, str):
-        raise TypeError(f"{key!r} must be a curve name, got {cid!r}")
-    return cid
-
-
-# A trade file entry holds its class's fields, in declaration order, under
-# this "type"; a nested trade is an entry of its own.
+# A trade file entry holds its class's fields, in declaration order, after
+# its "type"; a nested trade is an entry of its own.
 _TRADE_TYPES = {"swap": SwapTrade, "swaption": SwaptionTrade}
-_TYPE_NAMES = {cls: name for name, cls in _TRADE_TYPES.items()}
-# Field reader by annotation.
-_READERS = {
-    "float": _number,
-    "bool": _flag,
-    "str": _curve_id,
-    "SwapTrade": lambda d, key: _read_fields(SwapTrade, d[key], f" in {key}"),
-}
-
-
-def _read_fields(cls, d: dict, where: str = ""):
-    """cls from its file entry; an omitted field that has a default takes it."""
-    known = {"type", *(f.name for f in fields(cls))}
-    unknown = [k for k in d if k not in known]  # such as a misspelt optional key
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}{where}")
-    return cls(**{
-        f.name: _READERS[f.type](d, f.name)
-        for f in fields(cls)
-        if f.name in d or f.default is MISSING
-    })
-
-
-def _trade_to_dict(t) -> dict:
-    doc = {"type": _TYPE_NAMES[type(t)]}
-    for f in fields(t):
-        value = getattr(t, f.name)
-        doc[f.name] = _trade_to_dict(value) if is_dataclass(value) else value
-    return doc
+_TRADE_TAGS = {cls: name for name, cls in _TRADE_TYPES.items()}
 
 
 def save_portfolio(portfolio, path) -> None:
-    trades = [_trade_to_dict(t) for t in portfolio]
+    trades = [to_dict(t, _TRADE_TAGS) for t in portfolio]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"version": 1, "trades": trades}, fh, indent=2)
 
@@ -686,7 +615,7 @@ def load_portfolio(path) -> list:
             cls = _TRADE_TYPES.get(d["type"]) if isinstance(d["type"], str) else None
             if cls is None:
                 raise ConfigurationError(f"unknown trade type {d['type']!r}")
-            out.append(_read_fields(cls, d))
+            out.append(from_dict(cls, d, _TRADE_TAGS))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise _malformed(path, where, exc) from None
     if not out:

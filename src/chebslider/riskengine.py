@@ -201,8 +201,9 @@ class BlockLayout:
     """PCA blocks over an ordered risk-factor list, read from a blocks document.
 
     The document is {"version": 1, "blocks": [{"name", "factors" | "prefix",
-    "k", "horizons"}]}; `k` is optional, `horizons` defaults to ["10d"], and
-    a block with any other key is rejected.
+    "k", "horizons"}]}; a block takes exactly one of `factors` and `prefix`,
+    `k` is optional, `horizons` defaults to ["10d"], and a block with any
+    other key is rejected.
     The 10-day horizon shocks every factor; any other horizon shocks the
     factors of the blocks that list it.
     """
@@ -228,6 +229,8 @@ class BlockLayout:
                     raise ConfigurationError(
                         f"{at}: unknown key {key!r} (a block takes {', '.join(_BLOCK_KEYS)})"
                     )
+            if "factors" in entry and "prefix" in entry:
+                raise ConfigurationError(f"{at}: takes 'factors' or 'prefix', not both")
             factors = entry.get("factors")
             if factors is None and isinstance(entry.get("prefix"), str):
                 factors = [n for n in names if n.startswith(entry["prefix"])]

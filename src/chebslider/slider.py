@@ -8,7 +8,9 @@ evaluates as
 
 Slide domains are symmetrized around the pivot (covering the requested box),
 so with an odd number of points per dimension the pivot coordinate is the
-middle mesh node and the slider reproduces v at z exactly.
+middle mesh node and the slider reproduces v at z exactly. A saved slider is
+the documents walk of its dataclasses, and each type checks its own rules,
+so a loaded slider passes the checks of a built one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheb1d import ChebyshevGrid, ClampCounter, Domain1D, chebyshev_points_centered
+from .cheb1d import ChebyshevGrid, ClampCounter, chebyshev_points_centered
 from .chebtensor import (
     ChebyshevMesh,
     ChebyshevTensor,
@@ -27,7 +29,8 @@ from .chebtensor import (
     eval_tensor,
     eval_tensor_many,
 )
-from .errors import ArgumentError, ChebSliderError, ConfigurationError, SamplingError, error_detail
+from .documents import read_document, write_document
+from .errors import ArgumentError, ConfigurationError, SamplingError
 
 __all__ = [
     "SliderConfig",
@@ -40,8 +43,6 @@ __all__ = [
     "slider_to_dict",
     "slider_from_dict",
 ]
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -88,14 +89,28 @@ class Slide:
     coord_indices: tuple[int, ...]
     tensor: ChebyshevTensor
 
+    def __post_init__(self) -> None:
+        if len(self.coord_indices) != self.tensor.mesh.ndim:
+            raise ArgumentError(
+                f"a slide of {self.tensor.mesh.ndim} grids lists coordinates {self.coord_indices}"
+            )
+
 
 @dataclass(frozen=True)
 class Slider:
-    """The pivot, f there, and slides whose coordinates are 0..ndim-1, each once."""
+    """A 1-D pivot inside the slides' box, f there, and slides covering 0..ndim-1, each once."""
 
     pivot: np.ndarray
     pivot_value: float
     slides: tuple[Slide, ...]
+
+    def __post_init__(self) -> None:
+        covered = sorted(j for sl in self.slides for j in sl.coord_indices)
+        if self.pivot.ndim != 1 or covered != list(range(self.ndim)):
+            raise ArgumentError(f"slide coordinates must be 0..{self.ndim - 1}, each once, got "
+                                f"{covered}, for a pivot of shape {self.pivot.shape}")
+        if not self.box.contains(self.pivot):
+            raise ArgumentError(f"pivot {self.pivot.tolist()} lies outside the slides' box")
 
     @property
     def ndim(self) -> int:
@@ -243,63 +258,10 @@ def eval_slider_many(s: Slider, xs, clamp_counter: ClampCounter | None = None) -
 
 
 def slider_to_dict(s: Slider) -> dict:
-    """JSON-serializable document; values flattened row-major, bit-exact round-trip."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "chebyshev_slider",
-        "pivot": s.pivot.tolist(),
-        "pivot_value": s.pivot_value,
-        "build_call_count": s.build_call_count,
-        "slides": [
-            {
-                "coord_indices": list(slide.coord_indices),
-                "domains": [[g.domain.lo, g.domain.hi] for g in slide.tensor.mesh.grids],
-                "nodes": [g.nodes.tolist() for g in slide.tensor.mesh.grids],
-                "values": np.asarray(slide.tensor.values).reshape(-1).tolist(),
-            }
-            for slide in s.slides
-        ],
-    }
+    """The documents walk of the slider's fields; it round-trips through JSON bit for bit."""
+    return write_document(s, "chebyshev_slider")
 
 
 def slider_from_dict(doc: dict) -> Slider:
-    """The slider a slider_to_dict document holds; a malformed one raises ArgumentError."""
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind != "chebyshev_slider":
-        raise ArgumentError(f"not a slider document: kind={kind!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ArgumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    slides = []
-    where = ""
-    try:
-        pivot = np.asarray(doc["pivot"], dtype=float)
-        pivot_value = float(doc["pivot_value"])
-        for i, sd in enumerate(doc["slides"]):
-            where = f", slide {i}"
-            grids = tuple(
-                ChebyshevGrid(Domain1D(*map(float, dom)), nodes)
-                for nodes, dom in zip(sd["nodes"], sd["domains"])
-            )
-            coords = tuple(int(i) for i in sd["coord_indices"])
-            if len(coords) != len(grids):
-                raise ArgumentError(f"a slide of {len(grids)} grids lists coordinates {coords}")
-            mesh = ChebyshevMesh(grids)
-            values = np.asarray(sd["values"], dtype=float)
-            if values.size != mesh.size:
-                raise ArgumentError(
-                    f"slide {i} {coords}: {values.size} values for a mesh of {mesh.size} nodes"
-                )
-            values = values.reshape(mesh.shape)
-            values.flags.writeable = False
-            slides.append(Slide(coords, ChebyshevTensor(mesh=mesh, values=values)))
-    except ChebSliderError:  # a check's own error, already in the documented form
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"slider document{where}: {error_detail(exc)}") from None
-    covered = sorted(j for slide in slides for j in slide.coord_indices)
-    if covered != list(range(pivot.size)):
-        raise ArgumentError(
-            f"slide coordinates must be 0..{pivot.size - 1}, each once, got {covered}"
-        )
-    pivot.flags.writeable = False
-    return Slider(pivot=pivot, pivot_value=pivot_value, slides=tuple(slides))
+    """The slider a slider_to_dict document holds, checked as a build is."""
+    return read_document(Slider, doc, "chebyshev_slider", "slider")

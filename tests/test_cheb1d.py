@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chebslider import (
     ArgumentError,
+    ChebyshevGrid,
     ChebyshevInterpolant1D,
     ClampCounter,
     Domain1D,
@@ -109,6 +110,17 @@ class TestGrids:
     def test_negative_degree(self):
         with pytest.raises(ParameterError):
             chebyshev_points(-1, UNIT)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[1.0, 0.0, -1.0], [-1.0, math.nan, 1.0], [-1.0, 0.5, 0.0, 1.0], [-0.5, 0.0, 1.0], [2.0]],
+        ids=["reversed", "nan", "not-ascending", "short-of-domain", "single-outside"],
+    )
+    def test_grid_rejects_nodes_its_docstring_rules_out(self, nodes):
+        message = r"do not ascend from -1\.0 to 1\.0, nor are they one node inside"
+        with pytest.raises(ArgumentError, match=message):
+            ChebyshevGrid(UNIT, np.array(nodes))
+        ChebyshevGrid(UNIT, np.array([0.25]))  # a single node anywhere inside
 
 
 class TestInterpolant:

@@ -34,9 +34,10 @@ from chebslider.errors import (
     SamplingError,
     UnknownFactorError,
 )
-from chebslider.demo import swaps_demo
+from chebslider.demo import demo_by_name, swaps_demo
+from chebslider.orthopca import eval_orthogonal_slider_many, load_orthogonal_slider
 from chebslider.pricers import ShockedPortfolioPricer, save_portfolio
-from chebslider.riskengine import EsReport
+from chebslider.riskengine import EsReport, generate_synthetic_history
 
 
 def run_cli(*args):
@@ -326,6 +327,9 @@ class TestMalformedInputs:
             # a misspelt horizons would otherwise drop the 60d horizon silently
             ("misspelt key", "blocks.json: block 1 ('vols'): unknown key 'horizonz' "
              "(a block takes name, factors, prefix, k, horizons)"),
+            # the factors list would win and the prefix be ignored
+            ("prefix and factors",
+             "blocks.json: block 1 ('vols'): takes 'factors' or 'prefix', not both"),
         ],
     )
     def test_malformed_file_exits_2(self, swaptions_files, tmp_path, pricer_calls, case, message):
@@ -355,6 +359,8 @@ class TestMalformedInputs:
             doc["blocks"][1]["horizons"] = ["10d", "a/b"]
         elif case == "misspelt key":
             doc["blocks"][1]["horizonz"] = doc["blocks"][1].pop("horizons")
+        elif case == "prefix and factors":
+            doc["blocks"][1]["prefix"] = "vol:"
         else:
             doc["blocks"][1]["factors"][0] = "rate:nope:1"
         scenarios, blocks = tmp_path / "scenarios.csv", tmp_path / "blocks.json"
@@ -762,6 +768,24 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in _readme_commands():
         assert _run_quietly(argv) == (0, ""), f"chebslider {shlex.join(argv)}"
+
+
+def test_readme_saved_slider_reloads_bit_for_bit(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = next(a for a in _readme_commands() if "--save-slider" in a)
+    assert _run_quietly(argv) == (0, "")
+    path, out = (argv[argv.index(opt) + 1] for opt in ("--save-slider", "--out"))
+    assert json.loads(Path(path).read_text())["schema_version"] == 2
+
+    scenarios = generate_synthetic_history(
+        demo_by_name(argv[argv.index("--synthetic") + 1]).synthetic,
+        int(argv[argv.index("--seed") + 1]),
+    )
+    base = json.loads(Path(out, "report.json").read_text())["base_value"]
+    with open(Path(out, "pnl_10d.csv"), newline="") as fh:
+        saved = [float(row["slider"]) for row in csv.DictReader(fh)]
+    reloaded = eval_orthogonal_slider_many(load_orthogonal_slider(path), scenarios.shocks)
+    assert (reloaded - base).tolist() == saved
 
 
 class TestSweep:

@@ -450,15 +450,16 @@ class TestOrthogonalSlider:
     )
     def test_loader_rejects_copies_that_disagree(self, edit, message):
         doc = self._saved_doc()
+        blocks, models = doc["block_spec"]["blocks"], doc["models"]
         if edit == "k":
-            doc["blocks"][0]["k"] = 1
+            blocks[0]["k"] = 1
         elif edit == "mean":
-            doc["blocks"][1]["mean"].pop()
+            models[1]["mean"].pop()
         elif edit == "base":
             doc["base_shock"].pop()
         else:
-            doc["blocks"][1]["k"] = 1
-            doc["blocks"][1]["components"].pop()
+            blocks[1]["k"] = 1
+            models[1]["components"].pop()
         with pytest.raises(ArgumentError, match=message):
             orthogonal_slider_from_dict(doc)
 
@@ -473,7 +474,7 @@ class TestOrthogonalSlider:
     )
     def test_loader_checks_the_builds_block_cover(self, index, covered):
         doc = self._saved_doc()
-        doc["blocks"][0]["coord_indices"][1] = index
+        doc["block_spec"]["blocks"][0]["coord_indices"][1] = index
         message = r"blocks must cover coordinates 0\.\.5 exactly; got " + covered
         with pytest.raises(ConfigurationError, match=message):
             orthogonal_slider_from_dict(doc)
@@ -482,10 +483,10 @@ class TestOrthogonalSlider:
         "edit, message",
         [
             ("ragged components",
-             r"^orthogonal slider document, block 0: setting an array element with a sequence"),
-            ("no mean", r"^orthogonal slider document, block 1: missing key 'mean'$"),
-            ("text node",
-             r"^slider document, slide 1: could not convert string to float: 'x'$"),
+             r"^orthogonal slider document: models\[0\]: setting an array element with a sequence"),
+            ("no mean", r"^orthogonal slider document: models\[1\]: missing key 'mean'$"),
+            ("text node", r"^orthogonal slider document: slides\[1\]: grids\[0\]: "
+             r"could not convert string to float: 'x'$"),
             ("no blocks", r"^orthogonal slider document: missing key 'blocks'$"),
             ("list document", r"^not an orthogonal slider document: kind=None$"),
         ],
@@ -494,13 +495,13 @@ class TestOrthogonalSlider:
     def test_malformed_fields_raise_argument_error(self, edit, message):
         doc = self._saved_doc()
         if edit == "ragged components":
-            doc["blocks"][0]["components"][1].pop()
+            doc["models"][0]["components"][1].pop()
         elif edit == "no mean":
-            del doc["blocks"][1]["mean"]
+            del doc["models"][1]["mean"]
         elif edit == "text node":
-            doc["slider"]["slides"][1]["nodes"][0][2] = "x"
+            doc["slider"]["slides"][1]["tensor"]["mesh"]["grids"][0]["nodes"][2] = "x"
         elif edit == "no blocks":
-            del doc["blocks"]
+            del doc["block_spec"]["blocks"]
         else:
             doc = [doc]
         with pytest.raises(ArgumentError, match=message):

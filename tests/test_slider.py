@@ -441,19 +441,21 @@ class TestSerialization:
     @pytest.mark.parametrize("nodes, shape", [("nested", r"\(1, 5\)"), ("empty", r"\(0,\)")])
     def test_rejects_nodes_other_than_a_flat_list(self, nodes, shape):
         doc = slider_to_dict(self._sample_slider())
-        grid_nodes = doc["slides"][1]["nodes"]
-        grid_nodes[0] = [grid_nodes[0]] if nodes == "nested" else []
-        with pytest.raises(ArgumentError, match="non-empty 1-D array, got shape " + shape):
+        grid = doc["slides"][1]["tensor"]["mesh"]["grids"][0]
+        grid["nodes"] = [grid["nodes"]] if nodes == "nested" else []
+        message = r"slides\[1\]: grids\[0\]: nodes must be a non-empty 1-D array, got shape "
+        with pytest.raises(ArgumentError, match=message + shape):
             slider_from_dict(doc)
 
     def test_rejects_values_short_of_the_mesh(self):
         doc = slider_to_dict(self._sample_slider())
-        doc["slides"][0]["values"].pop()
-        with pytest.raises(ArgumentError, match=r"slide 0 \(0, 1\): 24 values for a mesh of 25"):
+        doc["slides"][0]["tensor"]["values"].pop()
+        message = r"slides\[0\]: values shape \(4, 5\) does not match mesh shape \(5, 5\)"
+        with pytest.raises(ArgumentError, match=message):
             slider_from_dict(doc)
 
     def test_json_document_is_plain_data(self):
         doc = json.loads(json.dumps(slider_to_dict(self._sample_slider())))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["kind"] == "chebyshev_slider"
         assert len(doc["slides"]) == 3
